@@ -8,11 +8,11 @@ kW / kvar and converted by the model builders that need per-unit.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +327,16 @@ def leaf_buses(net: Network) -> set:
             if deg[i] == 1 and i != net.slack}
 
 
+# LoadProfileSet.from_csv parses this many lines per block, so a
+# year-long file is never held in memory as Python strings at once.
+_CSV_BLOCK = 1 << 15
+# Fixed text width of the timestamp field while parsing; longer stamps
+# are rejected rather than truncated.
+_STAMP_WIDTH = 40
+_CSV_ROW = np.dtype([("timestamp", f"U{_STAMP_WIDTH}"), ("bus_id", np.int64),
+                     ("p_kw", float), ("q_kvar", float)])
+
+
 class LoadProfileSet:
     """Hourly demand series per bus, stored in kW / kvar.
 
@@ -404,52 +414,86 @@ class LoadProfileSet:
 
     @classmethod
     def from_csv(cls, path):
-        """Read delimited rows (timestamp, bus_id, p_kw, q_kvar).
+        """Read comma-separated rows (timestamp, bus_id, p_kw, q_kvar).
 
+        The first line is the header `timestamp,bus_id,p_kw,q_kvar`.
+        Timestamps are anything np.datetime64 reads at hour resolution
+        (e.g. `2025-01-01T00`), bus ids are integers, p/q are floats.
         Rows may be in any order; every bus present must cover the same
-        full set of timestamps.
+        full set of timestamps, each exactly once (a repeated
+        (timestamp, bus_id) row is rejected). The file is parsed in
+        blocks of lines, and each distinct timestamp text once.
         """
-        stamps = {}
-        data = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [h.strip() for h in header] != ["timestamp", "bus_id", "p_kw", "q_kvar"]:
+        stamps = {}       # timestamp text -> code, first-seen order
+        cols = []         # per block: (code, bus, p, q) arrays
+        with open(path) as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
+            if header == [""]:
+                raise ValueError("empty profile file")
+            if [h.strip() for h in header] != list(_CSV_ROW.names):
                 raise ValueError(f"unexpected profile header {header}")
-            for ts, bid, p, q in reader:
-                t = np.datetime64(ts, "h")
-                key = stamps.setdefault(t, len(stamps))
-                data.setdefault(int(bid), {})[key] = (float(p), float(q))
+            line = 2
+            for lines in iter(lambda: list(islice(fh, _CSV_BLOCK)), []):
+                try:
+                    rows = np.loadtxt(lines, delimiter=",", dtype=_CSV_ROW,
+                                      comments=None, quotechar='"', ndmin=1)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"profile rows from line {line}: {exc}") from None
+                line += len(lines)
+                # rows sharing a timestamp come in runs: map run heads only
+                ts = rows["timestamp"]
+                head = np.ones(len(ts), dtype=bool)
+                np.not_equal(ts[1:], ts[:-1], out=head[1:])
+                codes = np.array([stamps.setdefault(t, len(stamps))
+                                  for t in ts[head].tolist()], dtype=np.intp)
+                cols.append((codes[np.cumsum(head) - 1], rows["bus_id"].copy(),
+                             rows["p_kw"].copy(), rows["q_kvar"].copy()))
         if not stamps:
             raise ValueError("empty profile file")
-        horizon = np.array(sorted(stamps), dtype="datetime64[h]")
-        # remap first-seen order to sorted order
-        remap = {stamps[t]: k for k, t in enumerate(horizon)}
-        bus_ids = sorted(data)
-        H = len(horizon)
-        p = np.empty((H, len(bus_ids)))
-        q = np.empty((H, len(bus_ids)))
-        for j, bid in enumerate(bus_ids):
-            series = data[bid]
-            if len(series) != H:
-                raise ValueError(
-                    f"bus {bid} covers {len(series)} of {H} timestamps")
-            for old, (pv, qv) in series.items():
-                k = remap[old]
-                p[k, j] = pv
-                q[k, j] = qv
-        return cls(horizon, bus_ids, p, q)
+        too_long = [t for t in stamps if len(t) >= _STAMP_WIDTH]
+        if too_long:
+            raise ValueError(f"timestamp {too_long[0]!r} is longer than "
+                             f"{_STAMP_WIDTH - 1} characters")
+        code, bus, p_in, q_in = [np.concatenate(c) for c in zip(*cols)]
+        del cols
+        horizon, hour_of = np.unique(
+            np.array(list(stamps), dtype="datetime64[h]"), return_inverse=True)
+        bus_ids, j = np.unique(bus, return_inverse=True)
+        k = hour_of[code]
+        H, nb = len(horizon), len(bus_ids)
+        seen = np.bincount(k * nb + j, minlength=H * nb).reshape(H, nb)
+        twice = np.argwhere(seen > 1)
+        if len(twice):
+            t, b = twice[0]
+            raise ValueError(f"bus {bus_ids[b]} has more than one row for "
+                             f"timestamp {horizon[t]}")
+        covered = seen.sum(axis=0)
+        short = np.flatnonzero(covered != H)
+        if len(short):
+            b = short[0]
+            raise ValueError(
+                f"bus {bus_ids[b]} covers {covered[b]} of {H} timestamps")
+        p = np.empty((H, nb))
+        q = np.empty((H, nb))
+        p[k, j] = p_in
+        q[k, j] = q_in
+        return cls(horizon, bus_ids.tolist(), p, q)
 
     def to_csv(self, path):
+        """Write the rows from_csv reads, hour by hour, floats as repr.
+
+        The bytes equal a csv.writer dump of [timestamp, bus_id,
+        repr(p), repr(q)] rows (CRLF line ends).
+        """
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "bus_id", "p_kw", "q_kvar"])
-            for k in range(self.n_hours):
-                ts = str(self.horizon[k])
-                for j, bid in enumerate(self.bus_ids):
-                    writer.writerow([ts, bid,
-                                     repr(float(self.p_kw[k, j])),
-                                     repr(float(self.q_kvar[k, j]))])
+            fh.write("timestamp,bus_id,p_kw,q_kvar\r\n")
+            hours = zip(self.horizon.astype(str).tolist(), self.p_kw,
+                        self.q_kvar)
+            for ts, p_kw, q_kvar in hours:
+                fh.write("".join([f"{ts},{bid},{p!r},{q!r}\r\n" for bid, p, q
+                                  in zip(self.bus_ids, p_kw.tolist(),
+                                         q_kvar.tolist())]))
 
 
 def scale_profiles(profiles: LoadProfileSet, growth: float) -> LoadProfileSet:

@@ -149,6 +149,12 @@ def _segments(hours):
     return runs
 
 
+def _day_chunks(hours):
+    """Contiguous runs of the hours, cut into blocks of at most 24."""
+    return [run[i:i + 24] for run in _segments(hours)
+            for i in range(0, len(run), 24)]
+
+
 def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
                    q_extra, bus_idx):
     """Variables and rows for one storage unit over contiguous hours.
@@ -510,8 +516,7 @@ def tou_dispatch(net, profiles, plan_: BessPlan, tariff: TouTariff,
     if not tariff.covers(hours):
         raise ValueError("tariff does not cover the requested hours")
     spec = plan_.spec
-    days = [run[i:i + 24] for run in _segments(hours)
-            for i in range(0, len(run), 24)]
+    days = _day_chunks(hours)
 
     def one(day):
         return dispatch_day(net, profiles, day, plan_.capacity_kwh,

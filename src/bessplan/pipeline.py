@@ -24,7 +24,7 @@ import numpy as np
 
 from .conic import SolverConfig
 from .netmodel import (LoadProfileSet, NetworkError, load_network)
-from .oep import (BessPlan, BessSpec, PlanError, TouTariff, _segments,
+from .oep import (BessPlan, BessSpec, PlanError, TouTariff, _day_chunks,
                   build_toep, dispatch_day)
 from .oep import plan as solve_plan
 from .oep import savings_report, tou_dispatch
@@ -39,7 +39,7 @@ from .stat import (CandidateSet, DEFAULT_WEIGHTS, DEFAULT_WINDOW_DAYS,
                    node_features, normalize_and_score, peak_severity_hour,
                    rank_windows, scored_day_rows, select_worst_window,
                    sensitivities, window_hours, window_rows)
-from .vva import ViolationRecord, detect_violations, node_stats, run_vva
+from .vva import detect_violations, node_stats, run_vva, violation_records
 
 BACKTRACK_CAP = 5
 
@@ -244,27 +244,6 @@ class ValidationVerdict:
                 "failed verdict must carry residuals or infeasible days")
 
 
-def _day_chunks(hours):
-    return [run[i:i + 24] for run in _segments(hours)
-            for i in range(0, len(run), 24)]
-
-
-def _records_from_vsq(net, profiles, day, v_sq, v_limits):
-    v_lo, v_hi = v_limits
-    out = []
-    volts = np.sqrt(v_sq)
-    for k, t in enumerate(day):
-        for i, bus in enumerate(net.ids):
-            V = float(volts[i, k])
-            if V < v_lo:
-                out.append(ViolationRecord(bus, t, profiles.horizon[t], V,
-                                           v_lo - V, "under"))
-            elif V > v_hi:
-                out.append(ViolationRecord(bus, t, profiles.horizon[t], V,
-                                           V - v_hi, "over"))
-    return out
-
-
 def validate_plan(net, profiles, plan_: BessPlan, spec=None, v_limits=None,
                   hours=None, cfg=None, threads: int = 1,
                   round_index: int = 0) -> ValidationVerdict:
@@ -301,8 +280,9 @@ def validate_plan(net, profiles, plan_: BessPlan, spec=None, v_limits=None,
             infeasible.append(day[0])
             diag = dispatch_day(net, profiles, day, caps, spec, None, cfg=cfg)
             if diag.status != "infeasible":
-                residuals.extend(
-                    _records_from_vsq(net, profiles, day, diag.v_sq, v_limits))
+                residuals.extend(violation_records(
+                    net.ids, day, profiles.horizon[day], diag.v_sq,
+                    *v_limits))
                 blocks.append(diag.v_sq)
                 kept_hours.extend(day)
         else:
@@ -436,7 +416,7 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
     p_kw, q_kvar = profiles.aligned(net)
     peak = _stage("stat", peak_severity_hour, records)
     sens = _stage("stat", sensitivities, net, p_kw[peak], q_kvar[peak],
-                  vbuses, cfg=cfg.solver, threads=cfg.threads)
+                  vbuses, cfg=cfg.solver, threads=cfg.threads, hour=peak)
     feats = _stage("stat", node_features, net, records, len(sol.hours), sens)
     _stage("stat", combined_metric, feats, st.alpha_eol)
     _stage("stat", cluster, feats, k_max=st.k_max, seed=cfg.scenarios.seed)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -435,26 +436,35 @@ def fit_event_distributions(events):
     return EventDistributions(joint, start)
 
 
-def _draw_event(dist, rng):
-    """One (duration, energy, start_hour) draw with positivity rejection."""
-    for _ in range(_REJECT_CAP):
-        dur, energy = dist.joint.sample(1, rng)[0]
-        if dur > 0 and energy > 0:
-            start = int(np.floor(dist.start.sample(1, rng)[0, 0])) % 24
-            return float(dur), float(energy), start
-    raise ScenarioError(
-        f"rejected {_REJECT_CAP} consecutive non-positive (duration, energy) "
-        "draws; the fitted joint distribution is pathological")
+def _draw_sessions(dist, n, rng):
+    """n sessions as (duration, energy, start_hour) arrays.
+
+    All n (duration, energy) pairs are drawn first, then the
+    non-positive ones are redrawn until none is left; a pair still
+    non-positive after _REJECT_CAP draws raises. The start hours,
+    floored to integers in [0, 24), are drawn after that.
+    """
+    pairs = dist.joint.sample(n, rng)
+    bad = np.flatnonzero(~np.all(pairs > 0, axis=1))
+    for _ in range(_REJECT_CAP - 1):
+        if not len(bad):
+            break
+        pairs[bad] = dist.joint.sample(len(bad), rng)
+        bad = bad[~np.all(pairs[bad] > 0, axis=1)]
+    if len(bad):
+        raise ScenarioError(
+            f"rejected {_REJECT_CAP} consecutive non-positive (duration, "
+            "energy) draws; the fitted joint distribution is pathological")
+    start = np.floor(dist.start.sample(n, rng)[:, 0]).astype(np.int64) % 24
+    return pairs[:, 0], pairs[:, 1], start
 
 
 def sample_events(dist, n, seed=0):
     """Draw n classified charging events from fitted distributions."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        dur, energy, start = _draw_event(dist, rng)
-        out.append(ChargingEvent(float(start), dur, energy))
-    return out
+    durs, energies, starts = _draw_sessions(dist, n,
+                                            np.random.default_rng(seed))
+    return [ChargingEvent(float(h), dur, energy) for dur, energy, h
+            in zip(durs.tolist(), energies.tolist(), starts.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -462,25 +472,28 @@ def sample_events(dist, n, seed=0):
 
 
 def _one_scenario(dist, daily_prob, seed, k, days):
-    """Build scenario k on its own RNG stream derived from the master seed."""
+    """Build scenario k on its own RNG stream derived from the master seed.
+
+    The stream gives the days' charging coin flips, then the charging
+    days' sessions (see _draw_sessions). Only the overlap fix-up and
+    the placement run day by day.
+    """
     rng = np.random.default_rng([seed, k])
     H = 24 * days
     series = np.zeros(H)
+    charging = np.flatnonzero(rng.random(days) < daily_prob)
+    durs, energies, h0 = _draw_sessions(dist, len(charging), rng)
     events = []
     busy_until = 0.0
-    for d in range(days):
-        if rng.random() >= daily_prob:
-            continue
-        dur, energy, h0 = _draw_event(dist, rng)
-        p_avg = energy / dur
-        t0 = d * 24 + h0
+    for t0, dur, energy in zip((charging * 24 + h0).tolist(),
+                               durs.tolist(), energies.tolist()):
         if t0 < busy_until:
             # previous day's session still running: delay to the next
             # free hour so sessions never overlap
-            t0 = int(np.ceil(busy_until))
+            t0 = math.ceil(busy_until)
         if t0 >= H:
             continue
-        dur, realized = _place(series, t0, dur, p_avg)
+        dur, realized = _place(series, t0, dur, energy / dur)
         if realized > 0:
             events.append(ChargingEvent(float(t0), dur, realized))
             busy_until = t0 + dur
@@ -492,9 +505,14 @@ def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365, threads=Non
 
     Each scenario day charges with probability daily_prob; a charging
     day gets one sampled session placed at its start hour, spilling
-    into the next day when it runs past midnight. Scenarios run on
-    independent RNG streams spawned from the master seed, so results
-    are identical whether built sequentially or with a thread pool.
+    into the next day when it runs past midnight (a session that would
+    start while the previous one runs is delayed until it ends).
+    Scenario k runs on its own RNG stream, seeded by (seed, k), so
+    results are identical whether built sequentially or with a thread
+    pool. Each stream draws, in order: one uniform per day (the
+    charging coin flips), the (duration, energy) pairs of all charging
+    days with their positivity redraws, then their start hours. For
+    days == 1 this is the same stream as a day-by-day draw.
     """
     if not 0.0 <= daily_prob <= 1.0:
         raise ScenarioError(f"daily_prob must lie in [0, 1], got {daily_prob}")
@@ -558,17 +576,19 @@ def overlay_penetration(net: Network, profiles: LoadProfileSet, scenarios,
 
 
 def write_scenarios(path, sset: ScenarioSet):
-    """Persist a ScenarioSet: metadata header plus nonzero (day, hour, kw) rows."""
+    """Persist a ScenarioSet: metadata header plus nonzero (day, hour, kw) rows.
+
+    Rows are comma-separated with CRLF ends and repr floats, the bytes a
+    csv.writer would write.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={sset.seed} daily_prob={sset.daily_prob!r} "
                  f"n={sset.n} hours={sset.n_hours}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "day", "hour", "kw"])
-        for k in range(sset.n):
-            row = sset.series[k]
-            for t in np.nonzero(row)[0]:
-                writer.writerow([k, int(t) // 24, int(t) % 24,
-                                 repr(float(row[t]))])
+        fh.write("scenario,day,hour,kw\r\n")
+        for k, row in enumerate(sset.series):
+            t = np.flatnonzero(row)
+            fh.write("".join([f"{k},{d},{h},{kw!r}\r\n" for d, h, kw in zip(
+                (t // 24).tolist(), (t % 24).tolist(), row[t].tolist())]))
 
 
 def read_scenarios(path):

@@ -179,14 +179,25 @@ def _one_hour_profiles(net, p_kw, q_kvar):
                           np.asarray(q_kvar, dtype=float)[None, cols])
 
 
+def _slack_at(net, hour):
+    """The network with its slack voltage schedule fixed at one hour."""
+    if isinstance(net.slack_voltage, float):
+        return net
+    return Network(net.name, net.buses, net.branches, net.s_base_mva,
+                   net.v_base_kv, net.v_lower, net.v_upper, net.slack_v(hour))
+
+
 def sensitivities(net: Network, p_kw, q_kvar, buses, cfg=None,
-                  threads: int = 1) -> dict:
+                  threads: int = 1, hour: int = 0) -> dict:
     """Mean |voltage shift| per bus for a PROBE_PU active injection.
 
-    p_kw/q_kvar are one snapshot hour in network bus order. Each probed
-    bus gets its own one-hour solve against a shared base case; the
-    slack absorbs its own probe, so its sensitivity is identically 0.
+    p_kw/q_kvar are one snapshot hour in network bus order, and hour is
+    that snapshot's absolute hour index, which picks the slack voltage
+    from the network's schedule. Each probed bus gets its own one-hour
+    solve against a shared base case; the slack absorbs its own probe,
+    so its sensitivity is identically 0.
     """
+    net = _slack_at(net, hour)
     base = run_vva(net, _one_hour_profiles(net, p_kw, q_kvar),
                    cfg=cfg).voltage()[:, 0]
     probe_kw = PROBE_PU * 1000.0 * net.s_base_mva

@@ -228,18 +228,27 @@ def detect_violations(sol: FlowSolution, v_lower: float,
 
     Severity is the distance to the violated limit in p.u.
     """
-    out = []
-    volts = sol.voltage()
-    for k, t in enumerate(sol.hours):
-        for b, bus in enumerate(sol.bus_ids):
-            V = float(volts[b, k])
-            if V < v_lower:
-                out.append(ViolationRecord(bus, t, sol.times[k], V,
-                                           v_lower - V, "under"))
-            elif V > v_upper:
-                out.append(ViolationRecord(bus, t, sol.times[k], V,
-                                           V - v_upper, "over"))
-    return out
+    return violation_records(sol.bus_ids, sol.hours, sol.times, sol.v_sq,
+                             v_lower, v_upper)
+
+
+def violation_records(bus_ids, hours, times, v_sq, v_lower: float,
+                      v_upper: float) -> list:
+    """detect_violations on bare arrays, hour by hour in bus order.
+
+    v_sq is (n_bus, T) squared voltage; hours[k] and times[k] label
+    its column k.
+    """
+    volts = np.sqrt(v_sq)
+    under = volts < v_lower
+    over = volts > v_upper
+    severity = np.where(under, v_lower - volts, volts - v_upper)
+    k, b = np.nonzero((under | over).T)
+    return [ViolationRecord(bus_ids[i], hours[t], times[t], V, sev,
+                            "under" if low else "over")
+            for t, i, V, sev, low in zip(
+                k.tolist(), b.tolist(), volts[b, k].tolist(),
+                severity[b, k].tolist(), under[b, k].tolist())]
 
 
 def node_stats(records, n_hours: int, buses) -> list:

@@ -49,8 +49,11 @@ def sweep_power_flow(net, p_kw, q_kvar, hour=0, tol=1e-13, max_iter=500):
     return v, L, P, Q
 
 
-def feeder(n_bus, branches, loads, s_mva=1.0, name="feeder"):
-    """Small per-unit feeder; loads maps bus id -> (p_kw, q_kvar)."""
+def feeder(n_bus, branches, loads, s_mva=1.0, name="feeder", **extra):
+    """Small per-unit feeder; loads maps bus id -> (p_kw, q_kvar).
+
+    extra holds further top-level document keys (slack_voltage_pu).
+    """
     doc = {
         "name": name,
         "bases": {"s_mva": s_mva, "v_kv": 11.0},
@@ -63,6 +66,7 @@ def feeder(n_bus, branches, loads, s_mva=1.0, name="feeder"):
                   for b in range(2, n_bus + 1)],
         "branches": [{"from": f, "to": t, "r_pu": r, "x_pu": x}
                      for f, t, r, x in branches],
+        **extra,
     }
     return load_network(doc)
 

@@ -331,6 +331,52 @@ class TestProfiles:
         with pytest.raises(ValueError, match="covers"):
             LoadProfileSet.from_csv(path)
 
+    def test_duplicate_row_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "timestamp,bus_id,p_kw,q_kvar\n"
+            "2025-01-01T00,2,1.0,0.5\n"
+            "2025-01-01T01,2,1.0,0.5\n"
+            "2025-01-01T01,2,3.0,0.5\n")
+        with pytest.raises(ValueError,
+                           match="bus 2 .*more than one.* 2025-01-01T01"):
+            LoadProfileSet.from_csv(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("timestamp,bus_id,p_kw,q_kvar\n")
+        with pytest.raises(ValueError, match="empty"):
+            LoadProfileSet.from_csv(path)
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty"):
+            LoadProfileSet.from_csv(path)
+
+    def test_shuffled_rows_give_same_arrays(self, tmp_path):
+        rng = np.random.default_rng(5)
+        horizon = np.datetime64("2025-03-01T00") + np.arange(30)
+        prof = LoadProfileSet(horizon, (2, 3, 7),
+                              rng.uniform(0, 200, (30, 3)),
+                              rng.uniform(0, 90, (30, 3)))
+        path = tmp_path / "profiles.csv"
+        prof.to_csv(path)
+        head, *rows = path.read_text().splitlines(keepends=True)
+        rng.shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(head + "".join(rows))
+        back = LoadProfileSet.from_csv(shuffled)
+        assert back.bus_ids == prof.bus_ids
+        np.testing.assert_array_equal(back.horizon, prof.horizon)
+        np.testing.assert_array_equal(back.p_kw, prof.p_kw)
+        np.testing.assert_array_equal(back.q_kvar, prof.q_kvar)
+
+    def test_non_integer_bus_id_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "timestamp,bus_id,p_kw,q_kvar\n"
+            "2025-01-01T00,2.5,1.0,0.5\n")
+        with pytest.raises(ValueError, match="2.5"):
+            LoadProfileSet.from_csv(path)
+
     def test_gap_in_horizon_rejected(self):
         horizon = np.array(["2025-01-01T00", "2025-01-01T02"],
                            dtype="datetime64[h]")

@@ -375,6 +375,18 @@ class TestSampleEvents:
         with pytest.raises(ScenarioError, match="rejected"):
             sample_events(bad, 1, seed=0)
 
+    def test_rejection_redraws_only_non_positive_pairs(self):
+        # half the support is non-positive: every kept draw comes from
+        # the positive half
+        joint = Kde(np.array([[-1.0, -1.0]] * 6 + [[2.0, 10.0]] * 6),
+                    np.full(2, 1e-9))
+        dist = EventDistributions(joint, Kde(np.full((12, 1), 20.5),
+                                             np.array([1e-9])))
+        events = sample_events(dist, 300, seed=2)
+        assert len(events) == 300
+        assert all(abs(e.duration_h - 2.0) < 1e-6 and
+                   abs(e.energy_kwh - 10.0) < 1e-6 for e in events)
+
     def test_class_proportions_stable_across_seeds(self, fitted):
         # repeated-seed statistics: class shares differ by at most a
         # few binomial standard errors
@@ -414,6 +426,32 @@ class TestGenerateAnnual:
         b = generate_annual(fitted, 6, 0.9, seed=4, threads=3)
         assert np.array_equal(a.series, b.series)
         assert a.events == b.events
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_one_day_stream_matches_day_by_day_draw(self, fitted, mixed):
+        # for days == 1 the batched draw consumes each scenario's stream
+        # exactly as one coin flip, then one draw at a time, would
+        dist = fitted
+        if mixed:
+            pts = np.vstack([fitted.joint.points,
+                             -np.abs(fitted.joint.points)])
+            dist = EventDistributions(Kde(pts, fitted.joint.bw),
+                                      fitted.start)
+        sset = generate_annual(dist, 25, 0.7, seed=9, days=1)
+        for k, events in enumerate(sset.events):
+            rng = np.random.default_rng([9, k])
+            if rng.random() >= 0.7:
+                assert events == ()
+                continue
+            while True:
+                dur, energy = dist.joint.sample(1, rng)[0]
+                if dur > 0 and energy > 0:
+                    break
+            start = int(np.floor(dist.start.sample(1, rng)[0, 0])) % 24
+            (ev,) = events
+            assert ev.start == start
+            assert ev.duration_h == min(dur, 24.0 - start)
+            assert ev.p_avg_kw == pytest.approx(energy / dur, rel=1e-12)
 
     def test_mean_charging_days(self, fitted):
         # Bernoulli oracle: 365 days at 0.9 gives 328.5 expected days,

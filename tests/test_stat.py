@@ -20,7 +20,7 @@ from bessplan.stat import (CandidateSet, CriticalWindow, DailyStress,
                            select_worst_window, sensitivities, sensitivity,
                            silhouette_score, window_hours, window_rows)
 from bessplan.vva import ViolationRecord
-from helpers_power import feeder2, feeder4, profiles_from_rows, \
+from helpers_power import feeder, feeder2, feeder4, profiles_from_rows, \
     sweep_power_flow
 
 D0 = np.datetime64("2030-01-01", "D")
@@ -235,6 +235,25 @@ class TestSensitivity:
         v1, _, _, _ = sweep_power_flow(net, p2, q)
         expect = np.abs(np.sqrt(v1) - np.sqrt(v0)).mean()
         assert got == pytest.approx(expect, abs=1e-6)
+
+    def test_snapshot_hour_sets_slack_voltage(self):
+        # the snapshot is probed at its own hour's slack voltage, not
+        # at the schedule's first hour
+        net = feeder(2, [(1, 2, 0.05, 0.03)], {2: (900.0, 450.0)},
+                     slack_voltage_pu=[1.0, 1.0, 0.9])
+        p = np.array([0.0, 900.0])
+        q = np.array([0.0, 450.0])
+        p2 = p.copy()
+        p2[1] -= 0.01 * 1000.0 * net.s_base_mva
+        expect = {}
+        for hour in (0, 2):
+            v0, _, _, _ = sweep_power_flow(net, p, q, hour=hour)
+            v1, _, _, _ = sweep_power_flow(net, p2, q, hour=hour)
+            expect[hour] = np.abs(np.sqrt(v1) - np.sqrt(v0)).mean()
+            got = sensitivities(net, p, q, [2], hour=hour)[2]
+            assert got == pytest.approx(expect[hour], abs=1e-6)
+        # the two slack voltages give answers 40x the tolerance apart
+        assert expect[2] - expect[0] > 4e-5
 
     def test_slack_probe_is_absorbed(self):
         net = feeder2()

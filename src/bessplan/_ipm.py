@@ -25,7 +25,6 @@ import scipy.sparse.linalg as spla
 
 STEP = 0.99
 EXPON = 3
-_TRACE = False
 
 # Iterations without any merit improvement before the endgame is
 # declared dead and the best iterate returned. Only armed once the best
@@ -452,7 +451,7 @@ def _equilibrate(G, A, cone, rounds=8):
 
 
 def conelp(c, G, h, dims, A, b, feastol=1e-8, abstol=1e-8, reltol=1e-8,
-           maxiters=100, refinement=None):
+           maxiters=100):
     """Solve the cone LP; returns a dict with status and iterates.
 
     status is 'optimal', 'primal infeasible', 'dual infeasible' or
@@ -460,9 +459,7 @@ def conelp(c, G, h, dims, A, b, feastol=1e-8, abstol=1e-8, reltol=1e-8,
     returned unscaled; infeasibility certificates replace them otherwise.
     The problem data is Ruiz-equilibrated internally; the reported pres
     and dres refer to the scaled system, while x, y, s, z and the cost
-    values are always in original units. refinement counts the Newton
-    correction rounds per step; None picks 2 on the dense path and 1 on
-    the sparse path, whose KKT solves self-refine already.
+    values are always in original units.
 
     The endgame of the embedding can break down in floating point one or
     two iterations past the requested tolerances; intermediate overflow
@@ -471,13 +468,12 @@ def conelp(c, G, h, dims, A, b, feastol=1e-8, abstol=1e-8, reltol=1e-8,
     old = np.seterr(divide="ignore", invalid="ignore", over="ignore")
     try:
         return _conelp(c, G, h, dims, A, b, feastol, abstol, reltol,
-                       maxiters, refinement)
+                       maxiters)
     finally:
         np.seterr(**old)
 
 
-def _conelp(c, G, h, dims, A, b, feastol, abstol, reltol, maxiters,
-            refinement):
+def _conelp(c, G, h, dims, A, b, feastol, abstol, reltol, maxiters):
     c = np.asarray(c, dtype=float)
     h = np.asarray(h, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -500,8 +496,9 @@ def _conelp(c, G, h, dims, A, b, feastol, abstol, reltol, maxiters,
         c = c * dc
         h = h * drg
         b = b * dra
-    if refinement is None:
-        refinement = 2 if dense else 1
+    # Newton correction rounds per step; the sparse path's KKT solves
+    # already refine against the unshifted matrix
+    refinement = 2 if dense else 1
     factor = (_kkt_dense if dense else _kkt_sparse)(G, A, cone)
     GT, AT = G.T.tocsr(), A.T.tocsr()
 
@@ -579,10 +576,6 @@ def _conelp(c, G, h, dims, A, b, feastol, abstol, reltol, maxiters,
         pinfres = (hresx / resx0 / (-hz - by)) if hz + by < 0.0 else None
         dinfres = (max(hresy / resy0, hresz / resz0) / -cx) if cx < 0.0 else None
 
-        if _TRACE:
-            print(f"it {iters:3d} pcost {pcost:+.6e} dcost {dcost:+.6e} "
-                  f"gap {gap:.2e} pres {pres:.2e} dres {dres:.2e} "
-                  f"tau {tau:.2e} kappa {kappa:.2e}")
         if pres <= feastol and dres <= feastol and \
                 (gap <= abstol or (relgap is not None and relgap <= reltol)):
             return result("optimal", x / tau, y / tau, s / tau, z / tau,

@@ -32,15 +32,12 @@ class SolverConfig:
     time_limit: float | None = None  # seconds, wall clock
     max_iters: int = 100  # interior-point iterations per solve
     int_tol: float = 1e-6  # integrality tolerance on binaries
-    big_m: str = "capacity"  # big-M policy: derive M from capacity bounds
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.cone_tol <= 0:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.mip_gap < 1.0:
             raise ValueError("mip_gap must be in (0, 1)")
-        if self.big_m != "capacity":
-            raise ValueError(f"unknown big-M policy {self.big_m!r}")
 
 
 @dataclass

@@ -17,11 +17,11 @@ conversion factor so both live in one program.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._parallel import pmap
 from .conic import ConicProgram, SolverConfig, solve_misocp
 from .netmodel import LoadProfileSet, Network
 from .vva import _hour_block
@@ -522,11 +522,7 @@ def tou_dispatch(net, profiles, plan_: BessPlan, tariff: TouTariff,
         return dispatch_day(net, profiles, day, plan_.capacity_kwh,
                             spec, v_limits, prices=tariff.prices, cfg=cfg)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, days))
-    else:
-        parts = [one(d) for d in days]
+    parts = pmap(one, days, threads)
     for day, part in zip(days, parts):
         if part.status == "infeasible":
             raise PlanError(f"dispatch infeasible on day starting hour "

@@ -17,11 +17,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from ._parallel import pmap
 from .conic import SolverConfig
 from .netmodel import (LoadProfileSet, NetworkError, load_network)
 from .oep import (BessPlan, BessSpec, PlanError, TouTariff, _day_chunks,
@@ -126,10 +126,13 @@ class PvmConfig:
             raise StageError("config", "threads must be >= 1")
 
 
-_TOP_KEYS = {"network", "profiles", "tariff", "outdir", "scenarios", "stat",
-             "bess", "solver", "distributions", "economics_scope",
-             "backtrack_cap", "threads"}
+_TOP_KEYS = {f.name for f in fields(PvmConfig)}
 _REQUIRED = ("network", "profiles", "tariff", "outdir")
+_PATHS = _REQUIRED + ("distributions",)
+# table-valued keys and the dataclass each parses into; every other
+# key is taken as written
+_SECTIONS = {"scenarios": ScenarioParams, "stat": StatParams,
+             "bess": BessSpec, "solver": SolverConfig}
 
 
 def _section(doc, key, cls):
@@ -178,21 +181,16 @@ def load_config(path) -> PvmConfig:
         return p if p is None or os.path.isabs(p) else os.path.join(base, p)
 
     kv = {}
-    for key in ("economics_scope", "backtrack_cap", "threads"):
-        if key in doc:
-            kv[key] = doc[key]
-    return PvmConfig(
-        network=resolve(doc["network"]),
-        profiles=resolve(doc["profiles"]),
-        tariff=resolve(doc["tariff"]),
-        outdir=resolve(doc["outdir"]),
-        scenarios=_section(doc, "scenarios", ScenarioParams),
-        stat=_section(doc, "stat", StatParams),
-        bess=_section(doc, "bess", BessSpec),
-        solver=_section(doc, "solver", SolverConfig)
-        if "solver" in doc else None,
-        distributions=resolve(doc.get("distributions")),
-        **kv)
+    for f in fields(PvmConfig):
+        if f.name not in doc:
+            continue
+        if f.name in _SECTIONS:
+            kv[f.name] = _section(doc, f.name, _SECTIONS[f.name])
+        elif f.name in _PATHS:
+            kv[f.name] = resolve(doc[f.name])
+        else:
+            kv[f.name] = doc[f.name]
+    return PvmConfig(**kv)
 
 
 def read_tariff(path, n_hours) -> TouTariff:
@@ -265,11 +263,7 @@ def validate_plan(net, profiles, plan_: BessPlan, spec=None, v_limits=None,
     def one(day):
         return dispatch_day(net, profiles, day, caps, spec, v_limits, cfg=cfg)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, days))
-    else:
-        parts = [one(d) for d in days]
+    parts = pmap(one, days, threads)
 
     infeasible = []
     residuals = []
@@ -366,13 +360,14 @@ def _distributions_for(cfg: PvmConfig):
 
 
 def _overlaid_profiles(cfg, net, base):
+    """(overlaid profiles, charger scenarios, their distributions)."""
     sp = cfg.scenarios
     dist = _distributions_for(cfg)
     days = math.ceil(base.n_hours / 24)
     scen = generate_annual(dist, sp.n, sp.daily_prob, seed=sp.seed,
-                           days=days, threads=cfg.threads or None)
+                           days=days, threads=cfg.threads)
     return overlay_penetration(net, base, scen, sp.penetration, sp.growth,
-                               sp.seed), scen
+                               sp.seed), scen, dist
 
 
 def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
@@ -384,7 +379,7 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
     """
     net = _stage("input", load_network, cfg.network)
     base = _stage("input", LoadProfileSet.from_csv, cfg.profiles)
-    profiles, _ = _stage("scenarios", _overlaid_profiles, cfg, net, base)
+    profiles, _, _ = _stage("scenarios", _overlaid_profiles, cfg, net, base)
     tariff = _stage("input", read_tariff, cfg.tariff, profiles.n_hours)
 
     sol = _stage("vva", run_vva, net, profiles, cfg=cfg.solver,
@@ -497,7 +492,8 @@ def _cell(x):
     if isinstance(x, bool):
         return str(x)
     if isinstance(x, float):
-        return repr(x)
+        # repr(np.float64) is "np.float64(...)" under NumPy 2
+        return repr(float(x))
     return str(x)
 
 
@@ -607,13 +603,8 @@ def _emit_scenarios(cfg: PvmConfig) -> int:
     """The `scenarios` subcommand: generate, overlay, persist."""
     net = _stage("input", load_network, cfg.network)
     base = _stage("input", LoadProfileSet.from_csv, cfg.profiles)
-    dist = _stage("scenarios", _distributions_for, cfg)
-    sp = cfg.scenarios
-    scen = _stage("scenarios", generate_annual, dist, sp.n, sp.daily_prob,
-                  seed=sp.seed, days=math.ceil(base.n_hours / 24),
-                  threads=cfg.threads or None)
-    overlaid = _stage("scenarios", overlay_penetration, net, base, scen,
-                      sp.penetration, sp.growth, sp.seed)
+    overlaid, scen, dist = _stage("scenarios", _overlaid_profiles, cfg, net,
+                                  base)
     os.makedirs(cfg.outdir, exist_ok=True)
     write_scenarios(os.path.join(cfg.outdir, "scenarios.csv"), scen)
     write_distributions(os.path.join(cfg.outdir, "distributions.json"), dist)

@@ -15,11 +15,11 @@ import csv
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._parallel import pmap
 from .netmodel import LoadProfileSet, Network, scale_profiles
 
 # Event rules on an hourly series: a session is a maximal run of hours
@@ -500,7 +500,7 @@ def _one_scenario(dist, daily_prob, seed, k, days):
     return series, tuple(events)
 
 
-def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365, threads=None):
+def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365, threads=1):
     """Monte Carlo annual per-charger scenarios.
 
     Each scenario day charges with probability daily_prob; a charging
@@ -521,14 +521,8 @@ def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365, threads=Non
     if days < 1:
         raise ScenarioError(f"need at least one day, got {days}")
 
-    if threads:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(
-                lambda k: _one_scenario(dist, daily_prob, seed, k, days),
-                range(n_scenarios)))
-    else:
-        built = [_one_scenario(dist, daily_prob, seed, k, days)
-                 for k in range(n_scenarios)]
+    built = pmap(lambda k: _one_scenario(dist, daily_prob, seed, k, days),
+                 range(n_scenarios), threads)
 
     series = np.vstack([s for s, _ in built])
     events = tuple(ev for _, ev in built)

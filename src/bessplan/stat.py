@@ -10,11 +10,11 @@ violating buses into a small candidate set.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._parallel import pmap
 from .netmodel import (LoadProfileSet, Network, electrical_distance,
                        leaf_buses)
 from .vva import run_vva
@@ -212,16 +212,7 @@ def sensitivities(net: Network, p_kw, q_kvar, buses, cfg=None,
         return float(np.mean(np.abs(v - base)))
 
     buses = list(buses)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(one, buses))
-    else:
-        vals = [one(b) for b in buses]
-    return dict(zip(buses, vals))
-
-
-def sensitivity(net: Network, p_kw, q_kvar, bus, cfg=None) -> float:
-    return sensitivities(net, p_kw, q_kvar, [bus], cfg=cfg)[bus]
+    return dict(zip(buses, pmap(one, buses, threads)))
 
 
 def peak_severity_hour(records) -> int:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import pmap
 from .conic import ConicProgram, SolverConfig, solve_relaxation
 from .netmodel import LoadProfileSet, Network
 
@@ -119,29 +119,6 @@ def _hour_block(prog, net, p_pu, q_pu, t, vs_sq, v_bounds=None,
     return v, P, Q, L, ps, qs
 
 
-def build_vva(net: Network, profiles: LoadProfileSet, hours) -> ConicProgram:
-    """Loss-minimizing screening program over the given hours.
-
-    One variable block per hour, no voltage limits. Objective is total
-    r*l over all branch-hours.
-    """
-    hours = [int(t) for t in hours]
-    p_kw, q_kvar = profiles.aligned(net)
-    if max(hours) >= p_kw.shape[0] or min(hours) < 0:
-        raise ValueError("profiles do not cover requested hours")
-    prog = ConicProgram(f"vva-{net.name}")
-    obj = {}
-    for t in hours:
-        p_pu = net.to_pu_power(p_kw[t])
-        q_pu = net.to_pu_power(q_kvar[t])
-        vs = net.slack_v(t) ** 2
-        _, _, _, L, _, _ = _hour_block(prog, net, p_pu, q_pu, t, vs)
-        for e in range(net.n_branch):
-            obj[L[e]] = net.r[e]
-    prog.minimize(obj)
-    return prog
-
-
 def _extract_hour(net, res, t):
     n, m = net.n_bus, net.n_branch
     v = np.array([res.x[f"v[{i},{t}]"] for i in range(n)])
@@ -184,11 +161,7 @@ def run_vva(net: Network, profiles: LoadProfileSet, hours=None,
                                f"{res.status}")
         return _extract_hour(net, res, t)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(solve_one, hours))
-    else:
-        parts = [solve_one(t) for t in hours]
+    parts = pmap(solve_one, hours, threads)
 
     T = len(hours)
     v_sq = np.empty((n, T))

@@ -65,8 +65,6 @@ class TestModeling:
             SolverConfig(feas_tol=0.0)
         with pytest.raises(ValueError, match="mip_gap"):
             SolverConfig(mip_gap=1.5)
-        with pytest.raises(ValueError, match="big-M"):
-            SolverConfig(big_m="manual")
 
     def test_dump_lists_every_row(self):
         prog = ConicProgram("demo")

@@ -1,9 +1,14 @@
-"""Command-line tests of the `scenarios` subcommand.
+"""Command-line tests of the pipeline subcommands.
 
-A small IEEE-33 input (48 h of noisy base load) is generated per test
-module. The run must exit 0, be byte-stable for a fixed --seed, write
-the same bytes a csv.writer with repr float cells would (the oracle is
-inlined below), and exit 2 on a missing input file.
+`scenarios` runs on a small IEEE-33 input (48 h of noisy base load).
+It must exit 0, be byte-stable for a fixed --seed, write the same
+bytes a csv.writer with repr float cells would (the oracle is inlined
+below), and exit 2 on a missing input file.
+
+`vva`, `stat` and `run` run on a 5-bus line feeder over one day whose
+evening peak undervolts the far end. Each command must exit 0 with its
+status in summary.json, and write the same report bytes twice for one
+--seed, the second time on two threads. An unknown config key exits 2.
 """
 
 import csv
@@ -16,7 +21,7 @@ import numpy as np
 import pytest
 
 from bessplan.netmodel import LoadProfileSet, load_network
-from bessplan.pipeline import main
+from bessplan.pipeline import load_config, main
 from bessplan.scenarios import (generate_annual, overlay_penetration,
                                 read_distributions)
 
@@ -109,3 +114,103 @@ def test_missing_profiles_exit_two(inputs, tmp_path, capsys):
                          config="missing.json") == 2
     assert "profiles file not found" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# -- vva, stat and run on a small feeder -------------------------------
+
+STATUS = {"vva": "stopped:vva", "stat": "stopped:stat", "run": "pass"}
+LINE_BUSES = (2, 3, 4, 5)
+
+
+@pytest.fixture(scope="module")
+def line_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("line")
+    doc = {"name": "line5", "bases": {"s_mva": 1.0, "v_kv": 11.0},
+           "limits": {"v_lower_pu": 0.95, "v_upper_pu": 1.05},
+           "buses": [{"id": 1, "kind": "slack", "p_base_kw": 0.0,
+                      "q_base_kvar": 0.0}] +
+                    [{"id": b, "kind": "load", "p_base_kw": 200.0,
+                      "q_base_kvar": 90.0} for b in LINE_BUSES],
+           "branches": [{"from": b - 1, "to": b, "r_pu": 0.02,
+                         "x_pu": 0.012} for b in LINE_BUSES]}
+    (root / "feeder.json").write_text(json.dumps(doc))
+    # half load except a full-load peak at 17:00-19:00
+    shape = np.where((np.arange(24) >= 17) & (np.arange(24) < 20), 1.0, 0.5)
+    factor = np.repeat(shape[:, None], len(LINE_BUSES), axis=1)
+    horizon = np.datetime64("2025-01-01T00", "h") + np.arange(24)
+    LoadProfileSet(horizon, list(LINE_BUSES), 200.0 * factor,
+                   90.0 * factor).to_csv(root / "profiles.csv")
+    (root / "tariff.txt").write_text(
+        "\n".join(["0.1"] * 17 + ["0.3"] * 4 + ["0.1"] * 3) + "\n")
+    config = {"network": "feeder.json", "profiles": "profiles.csv",
+              "tariff": "tariff.txt", "outdir": "out",
+              "scenarios": {"n": 4, "daily_prob": 0.9, "penetration": 0.5},
+              "stat": {"window_days": 1}}
+    (root / "config.json").write_text(json.dumps(config))
+    return root
+
+
+@pytest.fixture(scope="module")
+def line_runs(line_inputs):
+    """{(command, run): (exit code, outdir)}; run "b" uses two threads."""
+    runs = {}
+    for cmd in STATUS:
+        for tag, extra in (("a", []), ("b", ["--threads", "2"])):
+            out = line_inputs / cmd / tag
+            rc = main([cmd, "--config", str(line_inputs / "config.json"),
+                       "--out", str(out), "--seed", "3", *extra])
+            runs[cmd, tag] = (rc, out)
+    return runs
+
+
+@pytest.mark.parametrize("cmd", sorted(STATUS))
+def test_command_exits_zero_with_its_status(line_runs, cmd):
+    for tag in "ab":
+        rc, out = line_runs[cmd, tag]
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == STATUS[cmd]
+        assert summary["violations"] > 0
+
+
+@pytest.mark.parametrize("cmd", sorted(STATUS))
+def test_reports_byte_stable_for_one_seed(line_runs, cmd):
+    a, b = line_runs[cmd, "a"][1], line_runs[cmd, "b"][1]
+    names = sorted(p.name for p in a.iterdir())
+    assert "summary.json" in names
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_economics_cells_are_plain_floats(line_runs):
+    with open(line_runs["run", "a"][1] / "economics.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[0] == "label" and rows
+    for row in rows:
+        for cell in row[1:]:
+            float(cell)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("bogus", 1, "unknown config keys: ['bogus']"),
+    ("solver", {"big_m": "capacity"}, "unknown keys in 'solver'"),
+])
+def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
+                                      value, message):
+    doc = json.loads((line_inputs / "config.json").read_text())
+    doc[key] = value
+    path = line_inputs / "unknown.json"
+    path.write_text(json.dumps(doc))
+    assert main(["stat", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_mirror_pvm_config(line_inputs):
+    cfg = load_config(line_inputs / "config.json")
+    assert cfg.threads == 1 and cfg.economics_scope == "window"
+    assert cfg.scenarios.n == 4 and cfg.stat.window_days == 1
+    assert cfg.solver is None
+    assert cfg.network == str(line_inputs / "feeder.json")

@@ -17,7 +17,7 @@ from bessplan.stat import (CandidateSet, CriticalWindow, DailyStress,
                            diversity_filter, kmeans, node_features,
                            normalize_and_score, peak_severity_hour,
                            rank_windows, scored_day_rows,
-                           select_worst_window, sensitivities, sensitivity,
+                           select_worst_window, sensitivities,
                            silhouette_score, window_hours, window_rows)
 from bessplan.vva import ViolationRecord
 from helpers_power import feeder, feeder2, feeder4, profiles_from_rows, \
@@ -228,7 +228,7 @@ class TestSensitivity:
         net = feeder2()
         p = np.array([0.0, 600.0])
         q = np.array([0.0, 300.0])
-        got = sensitivity(net, p, q, 2)
+        got = sensitivities(net, p, q, [2])[2]
         v0, _, _, _ = sweep_power_flow(net, p, q)
         p2 = p.copy()
         p2[1] -= 0.01 * 1000.0 * net.s_base_mva
@@ -257,14 +257,22 @@ class TestSensitivity:
 
     def test_slack_probe_is_absorbed(self):
         net = feeder2()
-        assert sensitivity(net, np.array([0.0, 600.0]),
-                           np.array([0.0, 300.0]), 1) == 0.0
+        assert sensitivities(net, np.array([0.0, 600.0]),
+                             np.array([0.0, 300.0]), [1]) == {1: 0.0}
 
     def test_deeper_line_buses_are_more_sensitive(self):
         net = feeder4()  # a pure line feeder 1-2-3-4
         p, q = net.p_base_kw, net.q_base_kvar
         sens = sensitivities(net, p, q, [2, 3, 4])
         assert sens[4] > sens[3] > sens[2] > 0.0
+
+    def test_threaded_matches_serial(self):
+        net = feeder4()
+        p, q = net.p_base_kw, net.q_base_kvar
+        serial = sensitivities(net, p, q, [4, 1, 2, 3])
+        threaded = sensitivities(net, p, q, [4, 1, 2, 3], threads=2)
+        assert list(threaded) == [4, 1, 2, 3]
+        assert threaded == serial
 
     def test_peak_severity_hour(self):
         records = [rec(0, 3, 0.02), rec(0, 3, 0.01), rec(0, 5, 0.025)]

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from bessplan.netmodel import LoadProfileSet, load_bundled
-from bessplan.vva import (FlowSolution, build_vva, detect_violations,
+from bessplan.vva import (FlowSolution, _hour_block, detect_violations,
                           node_stats, run_vva)
-from bessplan.conic import solve_relaxation
+from bessplan.conic import ConicProgram, solve_relaxation
 from helpers_power import (feeder2, feeder4, feeder6, profiles_from_rows,
                            sweep_power_flow)
 
@@ -18,10 +18,26 @@ def constant_profiles(net, hours=1):
     return LoadProfileSet.constant(net, "2024-06-01T00", hours)
 
 
+def screening_program(net, profiles, hours):
+    """One loss-minimizing program over several hours' _hour_blocks."""
+    p_kw, q_kvar = profiles.aligned(net)
+    prog = ConicProgram("joint")
+    obj = {}
+    for t in hours:
+        L = _hour_block(prog, net, net.to_pu_power(p_kw[t]),
+                        net.to_pu_power(q_kvar[t]), t,
+                        net.slack_v(t) ** 2)[3]
+        obj.update((L[e], net.r[e]) for e in range(net.n_branch))
+    prog.minimize(obj)
+    return prog
+
+
 class TestBuildVva:
+    """The per-hour screening model that run_vva assembles and solves."""
+
     def test_two_bus_row_counts(self):
         net = feeder2()
-        prog = build_vva(net, constant_profiles(net), [0])
+        prog = screening_program(net, constant_profiles(net), [0])
         # 4 balance rows + 1 slack voltage row + 1 drop row, 1 cone
         assert len(prog._eqs) == 6
         assert len(prog._cones) == 1
@@ -37,7 +53,7 @@ class TestBuildVva:
     def test_uncovered_hours_rejected(self):
         net = feeder2()
         with pytest.raises(ValueError, match="cover"):
-            build_vva(net, constant_profiles(net, 2), [0, 5])
+            run_vva(net, constant_profiles(net, 2), hours=[0, 5])
 
     def test_current_cap_row_included_when_limit_given(self):
         doc = {
@@ -54,7 +70,7 @@ class TestBuildVva:
         }
         from bessplan.netmodel import load_network
         net = load_network(doc)
-        prog = build_vva(net, constant_profiles(net), [0])
+        prog = screening_program(net, constant_profiles(net), [0])
         assert len(prog._ineqs) == 1
 
 
@@ -108,12 +124,9 @@ class TestOracleEquivalence:
             {2: (380.0, 180.0), 3: (90.0, 40.0), 4: (310.0, 140.0)},
         ]
         profiles = profiles_from_rows(net, "2024-06-01T00", rows)
-        joint = solve_relaxation(build_vva(net, profiles, [0, 1, 2]))
+        joint = solve_relaxation(screening_program(net, profiles, [0, 1, 2]))
         assert joint.status == "optimal"
-        per_hour = []
-        for t in range(3):
-            r = solve_relaxation(build_vva(net, profiles, [t]))
-            per_hour.append(r.objective)
+        per_hour = run_vva(net, profiles).losses
         # recover per-hour loss from the joint solve
         for t in range(3):
             loss_t = sum(net.r[e] * joint.x[f"l[{e},{t}]"]

@@ -16,6 +16,7 @@ no randomization, no threading.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -41,12 +42,18 @@ _DENSE_LIMIT = 700
 # shift back out against the unshifted matrix.
 _KKT_REG = 1e-8
 
+_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"),
+                                              dtype=np.float64)
+
 
 class Cones:
-    """Layout of K = R+^l x Q^{q_0} x ... with q blocks grouped by size.
+    """Layout of K = R+^l x Q^{q_0} x ... as runs of equal-size cones.
 
-    groups[m] is an (nblocks, m) index matrix gathering every cone of
-    size m, so all Jordan-algebra operations vectorize per group.
+    Each maximal run of consecutive cones of one size m is a block
+    (start, stop, m): x[start:stop].reshape(-1, m) views every cone of
+    the run as a row, so all Jordan-algebra operations vectorize per
+    run without gathers. J is the sign vector of the Jordan algebra:
+    +1 on the orthant and on every cone head, -1 elsewhere.
     """
 
     def __init__(self, l, q):
@@ -56,18 +63,23 @@ class Cones:
             raise ValueError("cone dims must have l >= 0 and q blocks >= 2")
         self.cdim = self.l + sum(self.q)
         self.degree = self.l + len(self.q)
-        by_size = {}
-        start = self.l
+        self.runs = []
         heads = []
-        for m in self.q:
-            by_size.setdefault(m, []).append(start)
-            heads.append(start)
-            start += m
+        start = self.l
+        for m, same in itertools.groupby(self.q):
+            stop = start + m * len(list(same))
+            self.runs.append((start, stop, m))
+            heads.extend(range(start, stop, m))
+            start = stop
         self.heads = np.array(heads, dtype=np.intp)
-        self.groups = {
-            m: np.asarray(starts, dtype=np.intp)[:, None] + np.arange(m)
-            for m, starts in sorted(by_size.items())
-        }
+        self.J = -np.ones(self.cdim)
+        self.J[:self.l] = 1.0
+        self.J[self.heads] = 1.0
+
+    def _views(self, *vecs):
+        """Per run, the (cones, m) views of each cdim-vector."""
+        for a, b, m in self.runs:
+            yield [v[a:b].reshape(-1, m) for v in vecs]
 
     # -- elementary Jordan ops ------------------------------------------
 
@@ -76,10 +88,9 @@ class Cones:
         out = np.empty(self.cdim)
         l = self.l
         out[:l] = x[:l] * y[:l]
-        for idx in self.groups.values():
-            X, Y = x[idx], y[idx]
-            out[idx[:, 0]] = np.einsum("bi,bi->b", X, Y)
-            out[idx[:, 1:]] = Y[:, :1] * X[:, 1:] + X[:, :1] * Y[:, 1:]
+        for X, Y, O in self._views(x, y, out):
+            O[:, 0] = np.einsum("bi,bi->b", X, Y)
+            O[:, 1:] = Y[:, :1] * X[:, 1:] + X[:, :1] * Y[:, 1:]
         return out
 
     def ssqr(self, y):
@@ -87,10 +98,9 @@ class Cones:
         out = np.empty(self.cdim)
         l = self.l
         out[:l] = y[:l] ** 2
-        for idx in self.groups.values():
-            Y = y[idx]
-            out[idx[:, 0]] = np.einsum("bi,bi->b", Y, Y)
-            out[idx[:, 1:]] = 2.0 * Y[:, :1] * Y[:, 1:]
+        for Y, O in self._views(y, out):
+            O[:, 0] = np.einsum("bi,bi->b", Y, Y)
+            O[:, 1:] = 2.0 * Y[:, :1] * Y[:, 1:]
         return out
 
     def sinv(self, x, y):
@@ -98,14 +108,13 @@ class Cones:
         out = np.empty(self.cdim)
         l = self.l
         out[:l] = x[:l] / y[:l]
-        for idx in self.groups.values():
-            X, Y = x[idx], y[idx]
+        for X, Y, O in self._views(x, y, out):
             aa = self._jsq(Y)
             cc = X[:, 0]
             dd = np.einsum("bi,bi->b", Y[:, 1:], X[:, 1:])
-            out[idx[:, 0]] = (cc * Y[:, 0] - dd) / aa
-            out[idx[:, 1:]] = (X[:, 1:] / Y[:, 0:1]
-                               + ((dd / Y[:, 0] - cc) / aa)[:, None] * Y[:, 1:])
+            O[:, 0] = (cc * Y[:, 0] - dd) / aa
+            O[:, 1:] = (X[:, 1:] / Y[:, 0:1]
+                        + ((dd / Y[:, 0] - cc) / aa)[:, None] * Y[:, 1:])
         return out
 
     @staticmethod
@@ -119,8 +128,7 @@ class Cones:
         cands = []
         if self.l:
             cands.append(-x[:self.l].min())
-        for idx in self.groups.values():
-            X = x[idx]
+        for (X,) in self._views(x):
             cands.append(
                 (np.linalg.norm(X[:, 1:], axis=1) - X[:, 0]).max())
         return max(cands)
@@ -133,36 +141,35 @@ class Cones:
             out[:l] *= lmbda[:l]
         else:
             out[:l] /= lmbda[:l]
-        for idx in self.groups.values():
-            L, X = lmbda[idx], x[idx]
+        for L, X, O in self._views(lmbda, x, out):
             a = np.sqrt(self._jsq(L))
             if inverse:
                 lx = np.einsum("bi,bi->b", L, X) / a
             else:
                 lx = (L[:, 0] * X[:, 0]
                       - np.einsum("bi,bi->b", L[:, 1:], X[:, 1:])) / a
-            x0 = X[:, 0].copy()
-            cc = (lx + x0) / (L[:, 0] / a + 1.0) / a
+            cc = (lx + X[:, 0]) / (L[:, 0] / a + 1.0) / a
             if not inverse:
                 cc = -cc
-            Xn = X.copy()
-            Xn[:, 0] = lx
-            Xn[:, 1:] += cc[:, None] * L[:, 1:]
-            Xn *= (a if inverse else 1.0 / a)[:, None]
-            out[idx] = Xn
+            O[:, 0] = lx
+            O[:, 1:] += cc[:, None] * L[:, 1:]
+            O *= (a if inverse else 1.0 / a)[:, None]
         return out
 
     # -- Nesterov-Todd scaling ------------------------------------------
+    #
+    # W holds the orthant diagonal d (and its inverse di) and, per run,
+    # the cones' scale factors beta (cones,) and unit hyperbolic
+    # vectors v (cones, m): W = beta (2 v v' - J) on each cone.
 
     def identity_w(self):
-        return {
-            "d": np.ones(self.l),
-            "di": np.ones(self.l),
-            "beta": {m: np.ones(idx.shape[0]) for m, idx in self.groups.items()},
-            "v": {m: np.hstack([np.ones((idx.shape[0], 1)),
-                                np.zeros((idx.shape[0], m - 1))])
-                  for m, idx in self.groups.items()},
-        }
+        v = []
+        for a, b, m in self.runs:
+            V = np.zeros(((b - a) // m, m))
+            V[:, 0] = 1.0
+            v.append(V)
+        return {"d": np.ones(self.l), "di": np.ones(self.l),
+                "beta": [np.ones(len(V)) for V in v], "v": v}
 
     def compute_scaling(self, s, z):
         """Initial W with W^{-T} s = W z = lambda; returns (W, lambda)."""
@@ -170,12 +177,11 @@ class Cones:
         l = self.l
         d = np.sqrt(s[:l] / z[:l])
         lmbda[:l] = np.sqrt(s[:l] * z[:l])
-        W = {"d": d, "di": 1.0 / d, "beta": {}, "v": {}}
-        for m, idx in self.groups.items():
-            S, Z = s[idx], z[idx]
+        W = {"d": d, "di": 1.0 / d, "beta": [], "v": []}
+        for S, Z, lam in self._views(s, z, lmbda):
             aa = np.sqrt(self._jsq(S))
             bb = np.sqrt(self._jsq(Z))
-            W["beta"][m] = np.sqrt(aa / bb)
+            W["beta"].append(np.sqrt(aa / bb))
             Sb = S / aa[:, None]
             Zb = Z / bb[:, None]
             cc = np.sqrt((1.0 + np.einsum("bi,bi->b", Sb, Zb)) / 2.0)
@@ -184,27 +190,26 @@ class Cones:
             V[:, 1:] -= Zb[:, 1:]
             V /= (2.0 * cc)[:, None]
             dd = 2.0 * cc + Sb[:, 0] + Zb[:, 0]
-            lam = np.empty_like(S)
             lam[:, 0] = cc
             lam[:, 1:] = ((cc + Zb[:, 0])[:, None] * Sb[:, 1:]
                           + (cc + Sb[:, 0])[:, None] * Zb[:, 1:]) / dd[:, None]
             lam *= np.sqrt(aa * bb)[:, None]
-            lmbda[idx] = lam
             V[:, 0] += 1.0
             V /= np.sqrt(2.0 * V[:, 0])[:, None]
-            W["v"][m] = V
+            W["v"].append(V)
         return W, lmbda
 
     def update_scaling(self, W, lmbda, s, z):
-        """Rank-two NT update from the new scaled iterates s, z (modified)."""
+        """Rank-two NT update of W and lambda, in place, from the new
+        iterates s, z given in the current scaling."""
         l = self.l
         sl = np.sqrt(s[:l])
         zl = np.sqrt(z[:l])
         W["d"] *= sl / zl
         W["di"] = 1.0 / W["d"]
         lmbda[:l] = sl * zl
-        for m, idx in self.groups.items():
-            S, Z, V = s[idx], z[idx], W["v"][m]
+        for (S, Z, lam), V, beta in zip(self._views(s, z, lmbda), W["v"],
+                                        W["beta"]):
             aa = np.sqrt(self._jsq(S))
             S = S / aa[:, None]
             bb = np.sqrt(self._jsq(Z))
@@ -216,86 +221,136 @@ class Cones:
             vu = vs - vz
             wk0 = 2.0 * V[:, 0] * vq - (S[:, 0] + Z[:, 0]) / (2.0 * cc)
             dd = (V[:, 0] * vu - S[:, 0] / 2.0 + Z[:, 0] / 2.0) / (wk0 + 1.0)
-            lam = np.empty((idx.shape[0], m))
             lam[:, 0] = cc
             lam[:, 1:] = (2.0 * (-dd * vq + 0.5 * vu)[:, None] * V[:, 1:]
                           + (0.5 * (1.0 - dd / cc))[:, None] * S[:, 1:]
                           + (0.5 * (1.0 + dd / cc))[:, None] * Z[:, 1:])
             lam *= np.sqrt(aa * bb)[:, None]
-            lmbda[idx] = lam
             V *= (2.0 * vq)[:, None]
             V[:, 0] -= S[:, 0] / (2.0 * cc)
             V[:, 1:] += (0.5 / cc)[:, None] * S[:, 1:]
             V -= (0.5 / cc)[:, None] * Z
             V[:, 0] += 1.0
             V /= np.sqrt(2.0 * V[:, 0])[:, None]
-            W["beta"][m] *= np.sqrt(aa / bb)
+            beta *= np.sqrt(aa / bb)
 
     def scale_w(self, W, x, inverse=False):
         """W x (or W^{-1} x). W is symmetric for 'l' and 'q' cones."""
-        out = x.copy()
+        out = np.empty(self.cdim)
         l = self.l
-        out[:l] *= W["di"] if inverse else W["d"]
-        for m, idx in self.groups.items():
-            V = W["v"][m]
-            beta = W["beta"][m]
-            X = x[idx]
-            U = V if not inverse else np.hstack([V[:, :1], -V[:, 1:]])
+        out[:l] = x[:l] * (W["di"] if inverse else W["d"])
+        for (a, b, m), V, beta in zip(self.runs, W["v"], W["beta"]):
+            X = x[a:b].reshape(-1, m)
+            J = self.J[a:a + m]
+            U = V * J if inverse else V
             ux = np.einsum("bi,bi->b", U, X)
-            JX = np.hstack([X[:, :1], -X[:, 1:]])
-            Y = 2.0 * U * ux[:, None] - JX
-            Y *= (1.0 / beta if inverse else beta)[:, None]
-            out[idx] = Y
+            Y = 2.0 * U * ux[:, None] - X * J
+            np.multiply(Y, (1.0 / beta if inverse else beta)[:, None],
+                        out=out[a:b].reshape(-1, m))
         return out
 
     def binv_parts(self, W):
-        """(W'W)^{-1} as a dense diagonal for 'l' plus per-group blocks."""
+        """(W'W)^{-1} as a dense diagonal for 'l' plus per-run blocks."""
         dl2 = W["di"] ** 2
-        blocks = {}
-        for m, idx in self.groups.items():
-            V = W["v"][m]
-            beta = W["beta"][m]
-            U = np.hstack([V[:, :1], -V[:, 1:]])  # u = J v
+        blocks = []
+        for (a, b, m), V, beta in zip(self.runs, W["v"], W["beta"]):
+            U = V * self.J[a:a + m]  # u = J v
             uu = np.einsum("bi,bi->b", U, U)
             blk = (4.0 * uu[:, None, None] * U[:, :, None] * U[:, None, :]
                    - 2.0 * U[:, :, None] * V[:, None, :]
                    - 2.0 * V[:, :, None] * U[:, None, :]
                    + np.eye(m)[None, :, :])
             blk /= (beta ** 2)[:, None, None]
-            blocks[m] = blk
+            blocks.append(blk)
         return dl2, blocks
+
+    def binv_apply(self, dl2, blocks, x):
+        """(W'W)^{-1} x from the parts binv_parts returns."""
+        out = np.empty(self.cdim)
+        out[:self.l] = dl2 * x[:self.l]
+        for (X, O), B in zip(self._views(x, out), blocks):
+            np.einsum("bij,bj->bi", B, X, out=O)
+        return out
+
+
+def _cone_columns(Gr, m):
+    """Each cone's rows of G restricted to the columns they touch.
+
+    Gr holds the rows of one run of size-m cones. Returns (Gk, cols):
+    Gk[c] is cone c's (m, w) row block over columns cols[c], w being the
+    most columns any cone of the run touches. A cone that touches fewer
+    pads with column 0 and zero entries.
+    """
+    Gr = Gr.tocoo()
+    Gr.sum_duplicates()
+    n = Gr.shape[1]
+    k = Gr.shape[0] // m
+    cone = Gr.row // m
+    key = cone * n + Gr.col
+    keys, at = np.unique(key, return_inverse=True)
+    kc = keys // n
+    counts = np.bincount(kc, minlength=k)
+    w = int(counts.max()) if k else 0
+    slot = np.arange(len(keys)) - (np.cumsum(counts) - counts)[kc]
+    cols = np.zeros((k, w), dtype=np.intp)
+    cols[kc, slot] = keys % n
+    Gk = np.zeros((k, m, w))
+    Gk[cone, Gr.row % m, slot[at]] = Gr.data
+    return Gk, cols
 
 
 def _kkt_dense(G, A, cone):
-    """Factor-and-solve closure for [H A'; A 0], H = G'(W'W)^{-1}G, dense."""
-    Gd = G.toarray()
-    Ad = A.toarray()
-    n = Gd.shape[1]
-    p = Ad.shape[0]
+    """Factor-and-solve closure for [H A'; A 0], H = G'(W'W)^{-1}G, dense.
+
+    (W'W)^{-1} is block diagonal, so H is the orthant's G_l' D G_l plus
+    one small block G_k' B_k G_k per cone over the columns its rows
+    touch (4 for a branch cone). The blocks' columns and the positions
+    they sum into are found once per call; each factorization scatters
+    the blocks into a copy of a KKT template that holds A, and LU-factors
+    that copy in place. The template's transpose is Fortran-ordered, so
+    getrf factors K' without a copy and solves use K = (K')'.
+    """
+    G = G.tocsr()
+    n, p = G.shape[1], A.shape[0]
+    N = n + p
+    l = cone.l
+    Gl = G[:l].toarray()
+    GT = G.T.tocsr()
+    K0 = np.zeros((N, N))
+    K0[n:, :n] = A.toarray()
+    K0[:n, n:] = K0[n:, :n].T
+    Gks = []
+    pos = [np.zeros(0, dtype=np.intp)]
+    for a, b, m in cone.runs:
+        Gk, cols = _cone_columns(G[a:b], m)
+        Gks.append(Gk)
+        pos.append((cols[:, :, None] * N + cols[:, None, :]).ravel())
+    # every cone block entry's slot among the distinct H positions
+    pos, slot = np.unique(np.concatenate(pos), return_inverse=True)
 
     def factor(W):
         dl2, blocks = cone.binv_parts(W)
-        BG = np.empty_like(Gd)
-        BG[:cone.l] = Gd[:cone.l] * dl2[:, None]
-        for m, idx in cone.groups.items():
-            BG[idx] = np.einsum("bij,bjn->bin", blocks[m], Gd[idx])
-        K = np.zeros((n + p, n + p))
-        K[:n, :n] = Gd.T @ BG
-        K[:n, n:] = Ad.T
-        K[n:, :n] = Ad
-        try:
-            lu, piv = scipy.linalg.lu_factor(K, check_finite=False)
-        except (ValueError, scipy.linalg.LinAlgError):
-            raise ArithmeticError("singular KKT matrix") from None
+        K = K0.copy()
+        if l:
+            K[:n, :n] = Gl.T @ (dl2[:, None] * Gl)
+        if len(pos):
+            hk = np.concatenate([(Gk.transpose(0, 2, 1) @ (B @ Gk)).ravel()
+                                 for Gk, B in zip(Gks, blocks)])
+            K.reshape(-1)[pos] += np.bincount(slot, weights=hk,
+                                              minlength=len(pos))
+        lu, piv, info = _getrf(K.T, overwrite_a=True)
+        # NaN or inf in K reaches U's diagonal (NaN fails the test too)
+        # or else the solves, which conelp's stall guard rejects
         diag = np.abs(np.diag(lu))
-        if not np.all(np.isfinite(lu)) or diag.min() <= diag.max() * 1e-300:
+        if info != 0 or not diag.min() > diag.max() * 1e-300:
             raise ArithmeticError("singular KKT matrix")
 
         def solve(bx, by, bz):
-            rhs = np.concatenate([bx + BG.T @ bz, by])
-            sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+            rhs = np.concatenate([bx + GT @ cone.binv_apply(dl2, blocks, bz),
+                                  by])
+            sol, _ = _getrs(lu, piv, rhs, trans=1, overwrite_b=True)
             x, y = sol[:n], sol[n:]
-            zhat = cone.scale_w(W, Gd @ x - bz, inverse=True)
+            zhat = cone.scale_w(W, G @ x - bz, inverse=True)
             return x, y, zhat
 
         return solve
@@ -322,7 +377,8 @@ def _kkt_sparse(G, A, cone):
     # dense block per q cone.
     rows = [np.arange(cone.l)]
     cols = [np.arange(cone.l)]
-    for m, idx in cone.groups.items():
+    for a, b, m in cone.runs:
+        idx = np.arange(a, b).reshape(-1, m)
         rows.append(np.repeat(idx, m, axis=1).ravel())
         cols.append(np.tile(idx, (1, m)).ravel())
     rows = np.concatenate(rows)
@@ -337,7 +393,7 @@ def _kkt_sparse(G, A, cone):
 
     def factor(W):
         dl2, blocks = cone.binv_parts(W)
-        data = [dl2] + [blocks[m].ravel() for m in cone.groups]
+        data = [dl2] + [blk.ravel() for blk in blocks]
         Binv = sp.coo_matrix((np.concatenate(data), (rows, cols)),
                              shape=(cone.cdim, cone.cdim)).tocsr()
         BG = Binv @ G
@@ -363,15 +419,15 @@ def _kkt_sparse(G, A, cone):
         state = {"slow_first": False}
 
         def refine(lu, rhs, sol):
+            # (best iterate, its residual norm) of up to three steps
             best = None
-            for _ in range(4):
+            for step in range(4):
                 r = rhs - K @ sol
                 rn = float(np.linalg.norm(r))
-                if best is None or rn < best[1]:
-                    best = (sol, rn)
-                else:
+                if best is not None and not rn < best[1]:
                     break
-                if not np.isfinite(rn) or rn == 0.0:
+                best = (sol, rn)
+                if step == 3 or not np.isfinite(rn) or rn == 0.0:
                     break
                 sol = sol + lu.solve(r)
             return best
@@ -428,8 +484,9 @@ def _equilibrate(G, A, cone, rounds=8):
         aA = As.copy()
         aA.data = np.abs(aA.data)
         rg = aG.max(axis=1).toarray().ravel()
-        for _, idx in cone.groups.items():
-            rg[idx] = rg[idx].max(axis=1)[:, None]
+        for a, b, m in cone.runs:
+            R = rg[a:b].reshape(-1, m)
+            R[:] = R.max(axis=1)[:, None]
         ra = aA.max(axis=1).toarray().ravel() if p else np.zeros(0)
         cmax = aG.max(axis=0).toarray().ravel()
         if p:

@@ -395,6 +395,12 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
         return SolveResult("unbounded", -math.inf, {}, math.inf, math.nan, 1)
     if xv is None:
         return SolveResult("gap-limit", math.inf, {}, math.inf, math.inf, 1)
+    if not binaries and status == "optimal":
+        # nothing to branch on: the root is the answer
+        if trace is not None:
+            trace.append((obj, math.inf))
+        xs = names_of(xv, {})
+        return SolveResult("optimal", obj, xs, 0.0, max_residual(prog, xs), 1)
 
     counter = 0
     heap = []  # (bound, counter, fixes, frac_x)

@@ -211,6 +211,18 @@ def _frozen(arr):
     return arr
 
 
+def _own_frozen(arr):
+    """arr as a read-only float array that no caller can write to.
+
+    A fresh conversion, or a frozen array that owns its data, is kept;
+    a writeable array, or a view whose base may be written, is copied.
+    """
+    out = np.asarray(arr, dtype=float)
+    if out is arr and (out.flags.writeable or not out.flags.owndata):
+        out = out.copy()
+    return _frozen(out)
+
+
 def load_network(document) -> Network:
     """Build a Network from a dict, a JSON string, or a path to a JSON file.
 
@@ -347,8 +359,8 @@ class LoadProfileSet:
 
     def __init__(self, horizon, bus_ids, p_kw, q_kvar):
         horizon = np.asarray(horizon, dtype="datetime64[h]")
-        p_kw = np.asarray(p_kw, dtype=float)
-        q_kvar = np.asarray(q_kvar, dtype=float)
+        p_kw = _own_frozen(p_kw)
+        q_kvar = _own_frozen(q_kvar)
         if horizon.ndim != 1 or len(horizon) == 0:
             raise ValueError("horizon must be a non-empty 1-d timestamp array")
         steps = np.diff(horizon).astype("timedelta64[h]").astype(int)
@@ -360,8 +372,8 @@ class LoadProfileSet:
             raise ValueError("profile arrays must be (hours, buses)")
         self.horizon = _frozen(horizon)
         self.bus_ids = tuple(bus_ids)
-        self.p_kw = _frozen(p_kw.copy())
-        self.q_kvar = _frozen(q_kvar.copy())
+        self.p_kw = p_kw
+        self.q_kvar = q_kvar
         self._col = {bid: j for j, bid in enumerate(self.bus_ids)}
 
     @property
@@ -478,7 +490,7 @@ class LoadProfileSet:
         q = np.empty((H, nb))
         p[k, j] = p_in
         q[k, j] = q_in
-        return cls(horizon, bus_ids.tolist(), p, q)
+        return cls(horizon, bus_ids.tolist(), _frozen(p), _frozen(q))
 
     def to_csv(self, path):
         """Write the rows from_csv reads, hour by hour, floats as repr.
@@ -501,4 +513,5 @@ def scale_profiles(profiles: LoadProfileSet, growth: float) -> LoadProfileSet:
     if not growth > 0:
         raise ValueError(f"growth must be positive, got {growth}")
     return LoadProfileSet(profiles.horizon, profiles.bus_ids,
-                          profiles.p_kw * growth, profiles.q_kvar * growth)
+                          _frozen(profiles.p_kw * growth),
+                          _frozen(profiles.q_kvar * growth))

@@ -411,7 +411,8 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
     p_kw, q_kvar = profiles.aligned(net)
     peak = _stage("stat", peak_severity_hour, records)
     sens = _stage("stat", sensitivities, net, p_kw[peak], q_kvar[peak],
-                  vbuses, cfg=cfg.solver, threads=cfg.threads, hour=peak)
+                  vbuses, cfg=cfg.solver, threads=cfg.threads, hour=peak,
+                  base=sol.voltage()[:, sol.hours.index(peak)])
     feats = _stage("stat", node_features, net, records, len(sol.hours), sens)
     _stage("stat", combined_metric, feats, st.alpha_eol)
     _stage("stat", cluster, feats, k_max=st.k_max, seed=cfg.scenarios.seed)

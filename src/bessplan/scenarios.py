@@ -562,6 +562,7 @@ def overlay_penetration(net: Network, profiles: LoadProfileSet, scenarios,
     H = scaled.n_hours
     for bi, si in zip(chosen, rows):
         p[:, col[eligible[int(bi)]]] += scenarios.series[int(si), :H]
+    p.flags.writeable = False
     return LoadProfileSet(scaled.horizon, scaled.bus_ids, p, scaled.q_kvar)
 
 

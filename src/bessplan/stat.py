@@ -188,18 +188,21 @@ def _slack_at(net, hour):
 
 
 def sensitivities(net: Network, p_kw, q_kvar, buses, cfg=None,
-                  threads: int = 1, hour: int = 0) -> dict:
+                  threads: int = 1, hour: int = 0, base=None) -> dict:
     """Mean |voltage shift| per bus for a PROBE_PU active injection.
 
     p_kw/q_kvar are one snapshot hour in network bus order, and hour is
     that snapshot's absolute hour index, which picks the slack voltage
     from the network's schedule. Each probed bus gets its own one-hour
     solve against a shared base case; the slack absorbs its own probe,
-    so its sensitivity is identically 0.
+    so its sensitivity is identically 0. base, if given, is the base
+    case's voltages (p.u., network bus order), e.g. the screening
+    solve's at that hour; otherwise the base case is solved here.
     """
     net = _slack_at(net, hour)
-    base = run_vva(net, _one_hour_profiles(net, p_kw, q_kvar),
-                   cfg=cfg).voltage()[:, 0]
+    if base is None:
+        base = run_vva(net, _one_hour_profiles(net, p_kw, q_kvar),
+                       cfg=cfg).voltage()[:, 0]
     probe_kw = PROBE_PU * 1000.0 * net.s_base_mva
 
     def one(b):

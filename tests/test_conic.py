@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bessplan import conic
 from bessplan.conic import (ConicProgram, SolverConfig, max_residual,
                             solve_misocp, solve_relaxation)
 from helpers_conic import (enumerate_facility, grid_search_socp,
@@ -207,6 +208,29 @@ class TestMISOCP:
             for name in res.x:
                 if name.startswith("z"):
                     assert res.x[name] in (0.0, 1.0)
+
+    def test_program_without_binaries_solves_once(self, monkeypatch):
+        # the root relaxation is the answer: one solve, reported with the
+        # fields branch-and-bound gave it (gap 0, one node, one trace pair)
+        prog = ConicProgram()
+        v = prog.add_var("v", lb=1.0, ub=1.0)
+        l = prog.add_var("l", lb=0.0)
+        p = prog.add_var("p")
+        prog.add_eq({p: 1.0}, 0.6)
+        prog.add_rotated_cone(v, l, [p])
+        prog.minimize({l: 1.0})
+        relax = solve_relaxation(prog)
+        real = conic._ipm.conelp
+        calls = []
+        monkeypatch.setattr(conic._ipm, "conelp",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        trace = []
+        res = solve_misocp(prog, trace=trace)
+        assert len(calls) == 1
+        assert (res.status, res.objective, res.x, res.gap,
+                res.max_residual, res.iterations) == \
+            ("optimal", relax.objective, relax.x, 0.0, relax.max_residual, 1)
+        assert trace == [(relax.objective, math.inf)]
 
     def test_infeasible_instance(self):
         prog = ConicProgram()

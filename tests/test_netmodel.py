@@ -392,6 +392,28 @@ class TestProfiles:
         with pytest.raises(ValueError, match="not in horizon"):
             prof.hour_index("2026-01-01T00")
 
+    def test_arrays_others_can_write_are_copied(self):
+        horizon = np.datetime64("2025-01-01T00") + np.arange(2)
+        p = np.ones((2, 2))
+        base = np.full((2, 2), 2.0)
+        q = base[:, :]
+        q.flags.writeable = False  # a frozen view of a writeable base
+        prof = LoadProfileSet(horizon, (2, 3), p, q)
+        p[0, 0] = 5.0
+        base[0, 0] = 5.0
+        assert prof.p_kw[0, 0] == 1.0 and prof.q_kvar[0, 0] == 2.0
+        assert not prof.p_kw.flags.writeable
+        assert not prof.q_kvar.flags.writeable
+
+    def test_frozen_owned_arrays_are_shared(self):
+        horizon = np.datetime64("2025-01-01T00") + np.arange(2)
+        p = np.ones((2, 2))
+        p.flags.writeable = False
+        prof = LoadProfileSet(horizon, (2, 3), p, np.ones((2, 2)))
+        assert np.shares_memory(prof.p_kw, p)
+        again = LoadProfileSet(horizon, (2, 3), prof.p_kw, prof.q_kvar)
+        assert np.shares_memory(again.q_kvar, prof.q_kvar)
+
     def test_missing_non_slack_bus_detected(self):
         net = load_bundled("ieee33")
         prof = LoadProfileSet(

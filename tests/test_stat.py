@@ -19,7 +19,7 @@ from bessplan.stat import (CandidateSet, CriticalWindow, DailyStress,
                            rank_windows, scored_day_rows,
                            select_worst_window, sensitivities,
                            silhouette_score, window_hours, window_rows)
-from bessplan.vva import ViolationRecord
+from bessplan.vva import ViolationRecord, run_vva
 from helpers_power import feeder, feeder2, feeder4, profiles_from_rows, \
     sweep_power_flow
 
@@ -273,6 +273,26 @@ class TestSensitivity:
         threaded = sensitivities(net, p, q, [4, 1, 2, 3], threads=2)
         assert list(threaded) == [4, 1, 2, 3]
         assert threaded == serial
+
+    def test_screening_base_gives_the_same_answer(self):
+        # the screening solve at the snapshot hour is the base case that
+        # sensitivities would solve, bit for bit, slack schedule included
+        net = feeder(4, [(1, 2, 0.015, 0.010), (2, 3, 0.020, 0.012),
+                         (3, 4, 0.025, 0.015)], {},
+                     slack_voltage_pu=[1.0, 0.97, 1.02])
+        prof = profiles_from_rows(net, "2030-01-01T00", [
+            {2: (250.0, 120.0), 3: (300.0, 150.0), 4: (220.0, 100.0)},
+            {2: (400.0, 180.0), 3: (350.0, 160.0), 4: (500.0, 210.0)},
+            {2: (150.0, 70.0), 3: (200.0, 90.0), 4: (120.0, 60.0)}])
+        screen = run_vva(net, prof)
+        p, q = prof.aligned(net)
+        for hour in (1, 2):
+            solved = sensitivities(net, p[hour], q[hour], [2, 3, 4],
+                                   hour=hour)
+            given = sensitivities(net, p[hour], q[hour], [2, 3, 4],
+                                  hour=hour,
+                                  base=screen.voltage()[:, hour])
+            assert given == solved
 
     def test_peak_severity_hour(self):
         records = [rec(0, 3, 0.02), rec(0, 3, 0.01), rec(0, 5, 0.025)]

@@ -299,8 +299,10 @@ def _cone_columns(Gr, m):
     return Gk, cols
 
 
-def _kkt_dense(G, A, cone):
+def _kkt_dense(G, A, cone, GT):
     """Factor-and-solve closure for [H A'; A 0], H = G'(W'W)^{-1}G, dense.
+
+    GT is G' in CSR form; conelp builds it once per call and shares it.
 
     (W'W)^{-1} is block diagonal, so H is the orthant's G_l' D G_l plus
     one small block G_k' B_k G_k per cone over the columns its rows
@@ -315,7 +317,6 @@ def _kkt_dense(G, A, cone):
     N = n + p
     l = cone.l
     Gl = G[:l].toarray()
-    GT = G.T.tocsr()
     K0 = np.zeros((N, N))
     K0[n:, :n] = A.toarray()
     K0[:n, n:] = K0[n:, :n].T
@@ -556,8 +557,9 @@ def _conelp(c, G, h, dims, A, b, feastol, abstol, reltol, maxiters):
     # Newton correction rounds per step; the sparse path's KKT solves
     # already refine against the unshifted matrix
     refinement = 2 if dense else 1
-    factor = (_kkt_dense if dense else _kkt_sparse)(G, A, cone)
     GT, AT = G.T.tocsr(), A.T.tocsr()
+    factor = _kkt_dense(G, A, cone, GT) if dense else \
+        _kkt_sparse(G, A, cone)
 
     resx0 = max(1.0, np.linalg.norm(c))
     resy0 = max(1.0, np.linalg.norm(b))

@@ -4,15 +4,13 @@ Programs are built from named variables, linear rows, and second-order
 cone rows (rotated v*l >= sum p_i^2 or standard ||u|| <= t). seal()
 converts to the conic standard form consumed by the interior-point
 reference backend (bessplan._ipm); a branch-and-bound layer handles
-binary variables. Any backend exposing solve_relaxation / solve_misocp
-with the same contracts can replace the reference one.
+binary variables.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +27,6 @@ class SolverConfig:
     cone_tol: float = 1e-8
     mip_gap: float = 0.001
     node_limit: int = 20000
-    time_limit: float | None = None  # seconds, wall clock
     max_iters: int = 100  # interior-point iterations per solve
     int_tol: float = 1e-6  # integrality tolerance on binaries
 
@@ -218,31 +215,6 @@ class ConicProgram:
         }
         return self._sealed
 
-    def dump(self):
-        """Debug text form, one row per line. Not a stable format."""
-        out = [f"program {self.name or '<anon>'}: {self.n_vars} vars, "
-               f"{len(self._binary)} binary"]
-        for j, nm in enumerate(self._names):
-            tag = " binary" if j in set(self._binary) else ""
-            out.append(f"var {nm} in [{self._lb[j]}, {self._ub[j]}]{tag}")
-        def f(coeffs):
-            return " + ".join(f"{a:g}*{self._names[j]}"
-                              for j, a in sorted(coeffs.items()))
-        out.append("min " + (f(self._obj) or "0") +
-                   (f" + {self._obj_const:g}" if self._obj_const else ""))
-        for coeffs, rhs in self._eqs:
-            out.append(f"eq: {f(coeffs)} = {rhs:g}")
-        for coeffs, rhs in self._ineqs:
-            out.append(f"ineq: {f(coeffs)} <= {rhs:g}")
-        for kind, a, b_, terms in self._cones:
-            ts = ", ".join(self._names[t] for t in terms)
-            if kind == "r":
-                out.append(f"rcone: {self._names[a]}*{self._names[b_]} >= "
-                           f"sum sq({ts})")
-            else:
-                out.append(f"soc: ||({ts})|| <= {self._names[a]}")
-        return "\n".join(out)
-
 
 def max_residual(prog: ConicProgram, assignment) -> float:
     """Worst absolute violation of any declared row at the given point.
@@ -346,20 +318,14 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
 
     Best-bound node selection; branches on the most fractional binary,
     ties to the lowest declaration index. Stops at relative gap
-    <= cfg.mip_gap, node limit, or time limit.
+    <= cfg.mip_gap or at the node limit.
 
     If trace is a list, one (node_bound, incumbent_objective) pair is
     appended per processed node; bounds are non-decreasing and incumbent
     objectives non-increasing over the run.
     """
     cfg = cfg or SolverConfig()
-    sealed = prog.seal()
-    t0 = time.monotonic()
     binaries = list(prog._binary)
-
-    def timed_out():
-        return cfg.time_limit is not None and \
-            time.monotonic() - t0 > cfg.time_limit
 
     def names_of(vec, fixes):
         out = {nm: float(v) for nm, v in zip(prog._names, vec)}
@@ -407,23 +373,21 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
     heapq.heappush(heap, (obj if obj is not None else -math.inf,
                           counter, {}, xv))
 
-    def rel_gap():
-        if incumbent is None:
-            return math.inf
-        lb = heap[0][0] if heap else incumbent[0]
-        return max(0.0, incumbent[0] - lb) / max(1.0, abs(incumbent[0]))
+    def within_gap(bound):
+        """No node of this bound can improve the incumbent enough."""
+        return incumbent is not None and bound >= incumbent[0] - \
+            cfg.mip_gap * max(1.0, abs(incumbent[0]))
 
+    # bound of the node the search stopped at: in best-bound order the
+    # least bound left, so the final gap is measured against it
+    stop = None
     while heap:
         bound, _, fixes, xv = heapq.heappop(heap)
         if trace is not None:
             trace.append((bound, math.inf if incumbent is None
                           else incumbent[0]))
-        if incumbent is not None and \
-                bound >= incumbent[0] - cfg.mip_gap * max(1.0, abs(incumbent[0])):
-            heapq.heappush(heap, (bound, counter + 10 ** 9, fixes, xv))
-            break  # best-bound order: nothing left can improve enough
-        if nodes_done >= cfg.node_limit or timed_out():
-            heapq.heappush(heap, (bound, counter + 10 ** 9, fixes, xv))
+        if within_gap(bound) or nodes_done >= cfg.node_limit:
+            stop = bound
             break
 
         # Choose the most fractional binary; integral point = incumbent.
@@ -444,10 +408,9 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
 
         if nodes_done == 1 or nodes_done % 10 == 0:
             try_incumbent(_heuristic_fixes(prog, xv, cfg.int_tol))
-            if incumbent is not None and bound >= incumbent[0] - \
-                    cfg.mip_gap * max(1.0, abs(incumbent[0])):
-                heapq.heappush(heap, (bound, counter + 10 ** 9, fixes, xv))
-                break  # heuristic already within gap of this bound
+            if within_gap(bound):
+                stop = bound
+                break
 
         for val in (0.0, 1.0):
             child = dict(fixes)
@@ -457,16 +420,16 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
             if status == "infeasible" or cxv is None:
                 continue
             cbound = cobj if status == "optimal" else bound
-            if incumbent is not None and cbound >= incumbent[0] - \
-                    cfg.mip_gap * max(1.0, abs(incumbent[0])):
+            if within_gap(cbound):
                 continue
             counter += 1
             heapq.heappush(heap, (max(cbound, bound), counter, child, cxv))
 
-    gap = rel_gap()
     if incumbent is None:
         return SolveResult("gap-limit", math.inf, {}, math.inf, math.inf,
                            nodes_done)
+    lb = incumbent[0] if stop is None else stop
+    gap = max(0.0, incumbent[0] - lb) / max(1.0, abs(incumbent[0]))
     xs = incumbent[1]
     status = "optimal" if gap <= cfg.mip_gap else "gap-limit"
     return SolveResult(status, incumbent[0], xs, gap,

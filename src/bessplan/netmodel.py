@@ -175,29 +175,18 @@ class Network:
     def n_branch(self):
         return len(self.branches)
 
-    def slack_v(self, hour_index):
+    def slack_v(self, hour):
         """Slack voltage magnitude (p.u.) for an absolute hour index."""
         if isinstance(self.slack_voltage, float):
             return self.slack_voltage
-        if hour_index >= len(self.slack_voltage):
+        if hour >= len(self.slack_voltage):
             raise NetworkError(
-                f"slack voltage schedule shorter than horizon ({hour_index})")
-        return float(self.slack_voltage[hour_index])
+                f"slack voltage schedule shorter than horizon ({hour})")
+        return float(self.slack_voltage[hour])
 
     def to_pu_power(self, kw):
         """kW (or kvar) to per-unit on the network power base."""
         return np.asarray(kw, dtype=float) / (1000.0 * self.s_base_mva)
-
-    def downstream(self, bus_id):
-        """Downstream neighbor set D(i), as bus ids."""
-        i = self._pos(bus_id)
-        return {self.ids[self.tidx[k]] for k in self.down[i]}
-
-    def upstream(self, bus_id):
-        """Upstream neighbor set U(i): the parent, empty at the slack."""
-        i = self._pos(bus_id)
-        p = self.parent[i]
-        return set() if p < 0 else {self.ids[p]}
 
     def _pos(self, bus_id):
         try:
@@ -224,7 +213,7 @@ def _own_frozen(arr):
 
 
 def load_network(document) -> Network:
-    """Build a Network from a dict, a JSON string, or a path to a JSON file.
+    """Build a Network from a dict or a path (str or Path) to a JSON file.
 
     Rejects (with distinct messages): non-radial topology, disconnected
     graphs, duplicate ids, and a missing slack bus.
@@ -292,12 +281,7 @@ def _impedance(rec, which, z_base):
 def _as_dict(document):
     if isinstance(document, dict):
         return document
-    if isinstance(document, Path):
-        return json.loads(document.read_text())
-    if isinstance(document, str):
-        s = document.lstrip()
-        if s.startswith("{"):
-            return json.loads(document)
+    if isinstance(document, (str, Path)):
         return json.loads(Path(document).read_text())
     raise NetworkError(f"cannot load network from {type(document).__name__}")
 
@@ -405,24 +389,6 @@ class LoadProfileSet:
             P[:, i] = self.p_kw[:, j]
             Q[:, i] = self.q_kvar[:, j]
         return P, Q
-
-    def window(self, start, end):
-        """Contiguous sub-horizon [start, end) by timestamp."""
-        t0 = np.datetime64(start, "h")
-        t1 = np.datetime64(end, "h")
-        mask = (self.horizon >= t0) & (self.horizon < t1)
-        if not mask.any():
-            raise ValueError(f"window [{start}, {end}) outside horizon")
-        return LoadProfileSet(self.horizon[mask], self.bus_ids,
-                              self.p_kw[mask], self.q_kvar[mask])
-
-    def hour_index(self, ts):
-        """Position of a timestamp in the horizon."""
-        t = np.datetime64(ts, "h")
-        k = int(np.searchsorted(self.horizon, t))
-        if k >= self.n_hours or self.horizon[k] != t:
-            raise ValueError(f"timestamp {ts} not in horizon")
-        return k
 
     @classmethod
     def from_csv(cls, path):

@@ -246,12 +246,12 @@ def _anchor_binaries(prog, obj):
 
 
 def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
-               spec: BessSpec, v_limits=None) -> ConicProgram:
+               spec: BessSpec) -> ConicProgram:
     """Sizing/placement program over the given hours and candidate buses.
 
     hours may contain gaps; each maximal contiguous run carries its own
-    SOC chain, anchored and cyclically closed at soc_initial. v_limits
-    defaults to the network's (v_lower, v_upper).
+    SOC chain, anchored and cyclically closed at soc_initial. Every
+    non-slack bus is held within the network's voltage limits.
     """
     candidates = list(candidates)
     if not candidates:
@@ -263,8 +263,6 @@ def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
             raise ValueError("slack bus cannot host storage")
     if len(set(candidates)) != len(candidates):
         raise ValueError("duplicate candidate buses")
-    if v_limits is None:
-        v_limits = (net.v_lower, net.v_upper)
     runs = _segments(hours)
     flat_hours = [t for run in runs for t in run]
     p_kw, q_kvar = profiles.aligned(net)
@@ -290,7 +288,7 @@ def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
             _storage_block(prog, spec, b, run, k_pu, caps[b], p_extra,
                            q_extra, net.idx[b])
 
-    vb = (v_limits[0] ** 2, v_limits[1] ** 2)
+    vb = (net.v_lower ** 2, net.v_upper ** 2)
     for t in flat_hours:
         p_pu = net.to_pu_power(p_kw[t])
         q_pu = net.to_pu_power(q_kvar[t])
@@ -302,7 +300,6 @@ def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
     prog._meta = {
         "kind": "toep", "net": net, "profiles": profiles,
         "candidates": tuple(candidates), "runs": runs, "spec": spec,
-        "v_limits": v_limits,
     }
     return prog
 
@@ -416,8 +413,8 @@ def _binding_hours(meta):
     net = meta["net"]
     hours = [t for run in meta["runs"] for t in run]
     sol = run_vva(net, meta["profiles"], hours=hours)
-    v_lo, v_hi = meta["v_limits"]
-    return sorted({r.hour for r in detect_violations(sol, v_lo, v_hi)})
+    return sorted({r.hour for r in detect_violations(sol, net.v_lower,
+                                                     net.v_upper)})
 
 
 @dataclass
@@ -503,12 +500,13 @@ class TouResult:
 
 
 def tou_dispatch(net, profiles, plan_: BessPlan, tariff: TouTariff,
-                 v_limits=None, hours=None, cfg=None,
-                 threads: int = 1) -> TouResult:
+                 hours=None, cfg=None, threads: int = 1) -> TouResult:
     """Cost-optimal operation of a fixed plan under an hourly tariff.
 
-    Days solve independently (daily-cyclic SOC); infeasible days raise
-    with the day's first hour named.
+    Days solve independently (daily-cyclic SOC) with no voltage limits,
+    so a day is infeasible only where the network cannot carry its load,
+    for example past a branch current cap; infeasible days raise with
+    the day's first hour named.
     """
     if hours is None:
         hours = range(profiles.n_hours)
@@ -520,7 +518,7 @@ def tou_dispatch(net, profiles, plan_: BessPlan, tariff: TouTariff,
 
     def one(day):
         return dispatch_day(net, profiles, day, plan_.capacity_kwh,
-                            spec, v_limits, prices=tariff.prices, cfg=cfg)
+                            spec, None, prices=tariff.prices, cfg=cfg)
 
     parts = pmap(one, days, threads)
     for day, part in zip(days, parts):

@@ -242,22 +242,19 @@ class ValidationVerdict:
                 "failed verdict must carry residuals or infeasible days")
 
 
-def validate_plan(net, profiles, plan_: BessPlan, spec=None, v_limits=None,
-                  hours=None, cfg=None, threads: int = 1,
+def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
                   round_index: int = 0) -> ValidationVerdict:
-    """Re-dispatch the frozen plan day by day with hard voltage limits.
+    """Re-dispatch the frozen plan day by day over the whole horizon.
 
-    Every day solves a loss-minimizing operation with daily-cyclic SOC.
-    The verdict passes iff all days are feasible; failed days get a
-    relaxed re-solve (limits dropped) whose violations become the
-    residual records.
+    Every day solves a loss-minimizing operation of the plan's storage
+    (plan_.spec) with daily-cyclic SOC and the network's voltage limits
+    as hard bounds. The verdict passes iff all days are feasible; failed
+    days get a relaxed re-solve (limits dropped) whose violations become
+    the residual records.
     """
-    spec = spec or plan_.spec
-    if v_limits is None:
-        v_limits = (net.v_lower, net.v_upper)
-    if hours is None:
-        hours = range(profiles.n_hours)
-    days = _day_chunks(hours)
+    spec = plan_.spec
+    v_limits = (net.v_lower, net.v_upper)
+    days = _day_chunks(range(profiles.n_hours))
     caps = plan_.capacity_kwh
 
     def one(day):
@@ -373,9 +370,9 @@ def _overlaid_profiles(cfg, net, base):
 def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
     """Execute the staged flow; returns the report (no files written).
 
-    stop_after in {"vva", "stat", "plan"} truncates the run for the
-    matching CLI subcommand; economics=False skips the tariff dispatch
-    comparison.
+    stop_after "vva", "stat" or "plan" truncates the run after that
+    stage, for the matching CLI subcommand; any other value runs every
+    stage. economics=False skips the tariff dispatch comparison.
     """
     net = _stage("input", load_network, cfg.network)
     base = _stage("input", LoadProfileSet.from_csv, cfg.profiles)
@@ -444,8 +441,8 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
                              tuple(days), tuple(ranked), tuple(used), cset,
                              plan_, (), (), before, {})
         verdict = _stage(
-            "validate", validate_plan, net, profiles, plan_, spec=cfg.bess,
-            cfg=cfg.solver, threads=cfg.threads, round_index=round_index)
+            "validate", validate_plan, net, profiles, plan_, cfg=cfg.solver,
+            threads=cfg.threads, round_index=round_index)
         verdict = replace(verdict, monitored=tuple(monitored))
         verdicts.append(verdict)
         if verdict.passed:
@@ -615,9 +612,6 @@ def _emit_scenarios(cfg: PvmConfig) -> int:
     return 0
 
 
-_STOP_FOR = {"vva": "vva", "stat": "stat", "plan": "plan"}
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="bessplan",
@@ -661,7 +655,7 @@ def main(argv=None) -> int:
         if args.command == "scenarios":
             return _emit_scenarios(cfg)
 
-        report = run_pvm(cfg, stop_after=_STOP_FOR.get(args.command),
+        report = run_pvm(cfg, stop_after=args.command,
                          economics=args.command in ("economics", "run"))
         emit_reports(report, cfg.outdir)
         if args.command == "economics" and report.economics:

@@ -11,10 +11,8 @@ penetration level.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,19 +116,6 @@ class Kde:
     def dim(self):
         return self.points.shape[1]
 
-    def density(self, x):
-        """Mixture density at x, one point (d,) or a batch (m, d)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim < 2
-        X = np.atleast_2d(x)
-        if X.shape[-1] != self.dim:
-            raise ScenarioError(f"query dimension {X.shape[-1]} != {self.dim}")
-        z = (X[:, None, :] - self.points[None, :, :]) / self.bw
-        kern = np.exp(-0.5 * np.einsum("mnd,mnd->mn", z, z))
-        norm = len(self.points) * np.prod(self.bw) * (2.0 * np.pi) ** (self.dim / 2.0)
-        out = kern.sum(axis=1) / norm
-        return float(out[0]) if single else out
-
     def sample(self, n, rng):
         """n draws: a support point plus per-dimension Gaussian jitter."""
         idx = rng.integers(0, len(self.points), size=n)
@@ -150,22 +135,17 @@ class EventDistributions:
         if self.start.dim != 1:
             raise ScenarioError("start-hour KDE must be one-dimensional")
 
-    @property
-    def bandwidths(self):
-        return {"joint": self.joint.bw, "start": self.start.bw}
-
 
 @dataclass(frozen=True)
 class ScenarioSet:
     """Annual per-charger hourly kW series plus their generating events.
 
     series : (n, H) kW, one row per scenario
-    events : per-scenario tuples of ChargingEvent, or None for sets
-             reloaded from a file (only the realized series persists)
+    events : per-scenario tuples of ChargingEvent
     """
 
     series: np.ndarray
-    events: tuple | None
+    events: tuple
     seed: int
     daily_prob: float
 
@@ -175,14 +155,13 @@ class ScenarioSet:
             raise ScenarioError("scenario series must be (n, hours)")
         if s.size and s.min() < 0:
             raise ScenarioError("scenario series must be non-negative")
-        if self.events is not None and len(self.events) != s.shape[0]:
+        if len(self.events) != s.shape[0]:
             raise ScenarioError("event list length does not match scenario count")
         s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "series", s)
-        if self.events is not None:
-            object.__setattr__(self, "events",
-                               tuple(tuple(ev) for ev in self.events))
+        object.__setattr__(self, "events",
+                           tuple(tuple(ev) for ev in self.events))
 
     @property
     def n(self):
@@ -376,13 +355,13 @@ def extract_ev_load(composite, baseline):
     return np.clip(resid, 0.0, None)
 
 
-def detect_events(load, start_offset=0.0):
+def detect_events(load):
     """Find charging sessions on an hourly kW series.
 
     A session is a maximal run of hours strictly above 4 kW that either
     lasts at least two hours or peaks strictly above 7.2 kW. Energy is
-    the hourly integral over the run. start_offset shifts the reported
-    start hours (useful when the series is a window of a longer one).
+    the hourly integral over the run; starts are hour offsets into the
+    series.
     """
     x = np.asarray(load, dtype=float).reshape(-1)
     above = x > P_RUN_KW
@@ -398,7 +377,7 @@ def detect_events(load, start_offset=0.0):
             j += 1
         run = x[i:j]
         if (j - i) >= MIN_RUN_H or run.max() > P_PEAK_KW:
-            events.append(ChargingEvent(start_offset + i, float(j - i),
+            events.append(ChargingEvent(float(i), float(j - i),
                                         float(run.sum())))
         i = j
     return events
@@ -584,25 +563,6 @@ def write_scenarios(path, sset: ScenarioSet):
             t = np.flatnonzero(row)
             fh.write("".join([f"{k},{d},{h},{kw!r}\r\n" for d, h, kw in zip(
                 (t // 24).tolist(), (t % 24).tolist(), row[t].tolist())]))
-
-
-def read_scenarios(path):
-    """Reload a scenario file. Event metadata is not persisted, only series."""
-    with open(path, newline="") as fh:
-        meta = fh.readline()
-        m = re.match(r"# seed=(\S+) daily_prob=(\S+) n=(\S+) hours=(\S+)", meta)
-        if not m:
-            raise ScenarioError(f"malformed scenario file header: {meta!r}")
-        seed, daily_prob = int(m.group(1)), float(m.group(2))
-        n, hours = int(m.group(3)), int(m.group(4))
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["scenario", "day", "hour", "kw"]:
-            raise ScenarioError(f"unexpected scenario header {header}")
-        series = np.zeros((n, hours))
-        for k, day, hour, kw in reader:
-            series[int(k), int(day) * 24 + int(hour)] = float(kw)
-    return ScenarioSet(series, None, seed, daily_prob)
 
 
 def write_distributions(path, dist: EventDistributions):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._parallel import pmap
 from .netmodel import (LoadProfileSet, Network, electrical_distance,
                        leaf_buses)
 from .vva import run_vva
@@ -170,13 +169,12 @@ def window_hours(window: CriticalWindow, profiles: LoadProfileSet) -> list:
     return [int(k) for k in np.nonzero(mask)[0]]
 
 
-def _one_hour_profiles(net, p_kw, q_kvar):
+def _snapshot_profiles(net, p_kw, q_kvar):
+    """A profile set whose hour k is row k of (rows, n_bus) kW arrays."""
     ids = [b for k, b in enumerate(net.ids) if k != net.slack]
     cols = [net.idx[b] for b in ids]
-    horizon = np.datetime64("2000-01-01T00", "h") + np.arange(1)
-    return LoadProfileSet(horizon, ids,
-                          np.asarray(p_kw, dtype=float)[None, cols],
-                          np.asarray(q_kvar, dtype=float)[None, cols])
+    horizon = np.datetime64("2000-01-01T00", "h") + np.arange(len(p_kw))
+    return LoadProfileSet(horizon, ids, p_kw[:, cols], q_kvar[:, cols])
 
 
 def _slack_at(net, hour):
@@ -194,28 +192,31 @@ def sensitivities(net: Network, p_kw, q_kvar, buses, cfg=None,
     p_kw/q_kvar are one snapshot hour in network bus order, and hour is
     that snapshot's absolute hour index, which picks the slack voltage
     from the network's schedule. Each probed bus gets its own one-hour
-    solve against a shared base case; the slack absorbs its own probe,
-    so its sensitivity is identically 0. base, if given, is the base
-    case's voltages (p.u., network bus order), e.g. the screening
-    solve's at that hour; otherwise the base case is solved here.
+    program against a shared base case, and one screening run solves
+    them all as the hours of a snapshot profile set; the slack absorbs
+    its own probe, so its sensitivity is identically 0. base, if given,
+    is the base case's voltages (p.u., network bus order), e.g. the
+    screening solve's at that hour; otherwise the base case is one more
+    hour of the same run.
     """
     net = _slack_at(net, hour)
-    if base is None:
-        base = run_vva(net, _one_hour_profiles(net, p_kw, q_kvar),
-                       cfg=cfg).voltage()[:, 0]
-    probe_kw = PROBE_PU * 1000.0 * net.s_base_mva
-
-    def one(b):
-        if net.idx[b] == net.slack:
-            return 0.0
-        p2 = np.array(p_kw, dtype=float)
-        p2[net.idx[b]] -= probe_kw
-        v = run_vva(net, _one_hour_profiles(net, p2, q_kvar),
-                    cfg=cfg).voltage()[:, 0]
-        return float(np.mean(np.abs(v - base)))
-
     buses = list(buses)
-    return dict(zip(buses, pmap(one, buses, threads)))
+    probed = [b for b in buses if net.idx[b] != net.slack]
+    if not probed and base is not None:
+        return {b: 0.0 for b in buses}
+    rows = len(probed) + (base is None)
+    p = np.tile(np.asarray(p_kw, dtype=float), (rows, 1))
+    q = np.tile(np.asarray(q_kvar, dtype=float), (rows, 1))
+    probe_kw = PROBE_PU * 1000.0 * net.s_base_mva
+    for k, b in enumerate(probed):
+        p[k, net.idx[b]] -= probe_kw
+    v = run_vva(net, _snapshot_profiles(net, p, q), cfg=cfg,
+                threads=threads).voltage()
+    if base is None:
+        base = v[:, -1]
+    shift = {b: float(np.mean(np.abs(v[:, k] - base)))
+             for k, b in enumerate(probed)}
+    return {b: shift.get(b, 0.0) for b in buses}
 
 
 def peak_severity_hour(records) -> int:

@@ -21,6 +21,9 @@ from ._parallel import pmap
 from .conic import ConicProgram, SolverConfig, solve_relaxation
 from .netmodel import LoadProfileSet, Network
 
+# cone slack (p.u.) above which a screened branch-hour counts as loose
+LOOSE_CONE_TOL = 1e-6
+
 
 @dataclass
 class FlowSolution:
@@ -129,11 +132,10 @@ def _extract_hour(net, res, t):
 
 
 def run_vva(net: Network, profiles: LoadProfileSet, hours=None,
-            cfg: SolverConfig | None = None, threads: int = 1,
-            cone_tol: float = 1e-6) -> FlowSolution:
+            cfg: SolverConfig | None = None, threads: int = 1) -> FlowSolution:
     """Solve each hour independently and concatenate the results.
 
-    Raises on any infeasible hour; cone slack above cone_tol is
+    Raises on any infeasible hour; cone slack above LOOSE_CONE_TOL is
     collected in loose_cones and warned about, not raised, since the
     screening result is still usable for locating undervoltage.
     """
@@ -181,7 +183,7 @@ def run_vva(net: Network, profiles: LoadProfileSet, hours=None,
 
     slack = v_sq[net.fidx, :] * i_sq - p_flow ** 2 - q_flow ** 2
     loose = [(int(e), hours[k], float(slack[e, k]))
-             for e, k in zip(*np.nonzero(slack > cone_tol))]
+             for e, k in zip(*np.nonzero(slack > LOOSE_CONE_TOL))]
     if loose:
         worst = max(s for _, _, s in loose)
         warnings.warn(f"cone relaxation loose on {len(loose)} "

@@ -49,11 +49,14 @@ def sweep_power_flow(net, p_kw, q_kvar, hour=0, tol=1e-13, max_iter=500):
     return v, L, P, Q
 
 
-def feeder(n_bus, branches, loads, s_mva=1.0, name="feeder", **extra):
+def feeder(n_bus, branches, loads, s_mva=1.0, name="feeder", i_limit_a=None,
+           **extra):
     """Small per-unit feeder; loads maps bus id -> (p_kw, q_kvar).
 
-    extra holds further top-level document keys (slack_voltage_pu).
+    i_limit_a, if given, caps the current of every branch (A). extra
+    holds further top-level document keys (slack_voltage_pu, limits).
     """
+    cap = {} if i_limit_a is None else {"i_limit_a": i_limit_a}
     doc = {
         "name": name,
         "bases": {"s_mva": s_mva, "v_kv": 11.0},
@@ -64,7 +67,7 @@ def feeder(n_bus, branches, loads, s_mva=1.0, name="feeder", **extra):
                    "p_base_kw": loads.get(b, (0.0, 0.0))[0],
                    "q_base_kvar": loads.get(b, (0.0, 0.0))[1]}
                   for b in range(2, n_bus + 1)],
-        "branches": [{"from": f, "to": t, "r_pu": r, "x_pu": x}
+        "branches": [{"from": f, "to": t, "r_pu": r, "x_pu": x, **cap}
                      for f, t, r, x in branches],
         **extra,
     }

@@ -67,18 +67,6 @@ class TestModeling:
         with pytest.raises(ValueError, match="mip_gap"):
             SolverConfig(mip_gap=1.5)
 
-    def test_dump_lists_every_row(self):
-        prog = ConicProgram("demo")
-        x = prog.add_var("x", lb=0.0)
-        t = prog.add_var("t")
-        prog.add_eq({x: 2.0}, 1.0)
-        prog.add_ineq({x: 1.0, t: -1.0}, 0.5)
-        prog.add_soc(t, [x])
-        prog.minimize({t: 1.0})
-        text = prog.dump()
-        assert "eq: 2*x = 1" in text
-        assert "ineq:" in text and "soc:" in text
-
 
 class TestRelaxation:
     def test_norm_cone_hypotenuse(self):
@@ -246,6 +234,23 @@ class TestMISOCP:
         assert res.status == "gap-limit"
         assert res.gap == math.inf
         assert res.x == {}
+
+    def test_node_limit_gap_is_measured_at_the_stop_node(self):
+        # best-bound order stops at the least open bound, so the bound of
+        # the last node processed is a lower bound on the optimum, and the
+        # reported gap is measured against it
+        trace = []
+        res = solve_misocp(make_facility_instance(42, 6),
+                           SolverConfig(mip_gap=1e-6, node_limit=5),
+                           trace=trace)
+        assert res.status == "gap-limit"
+        bound, incumbent = trace[-1]
+        assert incumbent == res.objective
+        assert res.gap == max(0.0, res.objective - bound) / \
+            max(1.0, abs(res.objective))
+        assert res.gap > 1e-6
+        exact = enumerate_facility(42, 6)
+        assert bound <= exact + 1e-6 and exact <= res.objective + 1e-6
 
     def test_bound_and_incumbent_monotone(self):
         trace = []

@@ -159,7 +159,7 @@ def test_dense_kkt_solves_explicit_system(cone):
         B = np.linalg.inv(Wm.T @ Wm)
         K = np.block([[Gd.T @ B @ Gd, Ad.T], [Ad, np.zeros((p, p))]])
         rhs = np.concatenate([bx + Gd.T @ B @ bz, by])
-        x, y, zhat = _kkt_dense(G, A, cone)(W)(bx, by, bz)
+        x, y, zhat = _kkt_dense(G, A, cone, G.T.tocsr())(W)(bx, by, bz)
         sol = np.concatenate([x, y])
         assert np.linalg.norm(K @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
         np.testing.assert_allclose(Wm @ zhat, Gd @ x - bz, rtol=1e-10,
@@ -175,4 +175,4 @@ def test_dense_kkt_rejects_an_empty_equality_row(cone):
     G, A = kkt_system(cone, rng)
     A = sp.vstack([A, sp.csr_matrix((1, A.shape[1]))]).tocsr()
     with pytest.raises(ArithmeticError, match="singular"):
-        _kkt_dense(G, A, cone)(cone.identity_w())
+        _kkt_dense(G, A, cone, G.T.tocsr())(cone.identity_w())

@@ -20,9 +20,10 @@ from helpers_power import (feeder, feeder2, profiles_from_rows,
                            sweep_power_flow)
 
 
-def uv_feeder():
+def uv_feeder(**extra):
     """2-bus feeder whose evening peak undervolts without storage."""
-    return feeder(2, [(1, 2, 0.05, 0.03)], {2: (150.0, 60.0)}, name="uv2")
+    return feeder(2, [(1, 2, 0.05, 0.03)], {2: (150.0, 60.0)}, name="uv2",
+                  **extra)
 
 
 def uv_rows(peak=(950.0, 380.0), base=(150.0, 60.0), peak_hours=(18, 19),
@@ -284,12 +285,12 @@ class TestMinimalCapacity:
         assert abs(e - spec.soc_initial * planned) <= 1e-6
 
     def test_tighter_limit_needs_no_less_storage(self):
-        net, profiles = uv_profiles()
         spec = active_only_spec()
         cap = {}
         for v_lo in (0.95, 0.955):
-            prog = build_toep(net, profiles, range(24), [2], spec,
-                              v_limits=(v_lo, 1.05))
+            net = uv_feeder(limits={"v_lower_pu": v_lo, "v_upper_pu": 1.05})
+            profiles = profiles_from_rows(net, "2024-06-01T00", uv_rows())
+            prog = build_toep(net, profiles, range(24), [2], spec)
             cap[v_lo] = plan(prog).total_capacity_kwh()
         assert cap[0.955] >= cap[0.95] - 1e-6
 
@@ -486,15 +487,17 @@ class TestTouDispatch:
                          tariff)
 
     def test_impossible_day_names_its_start(self):
-        net = uv_feeder()
+        # 100 A is about 1.9 p.u. of current on the 1 MVA, 11 kV bases:
+        # the base load draws about 0.16 p.u., the hour-30 load at least
+        # 2.6 p.u., more than the 1 kWh unit can offset
+        net = uv_feeder(i_limit_a=100.0)
         rows = uv_rows(peak_hours=(), n_hours=48)  # healthy everywhere
         rows[30] = {2: (2500.0, 800.0)}
         profiles = profiles_from_rows(net, "2024-06-01T00", rows)
         spec = active_only_spec(e_max_kwh=1.0)
         tariff = TouTariff.from_daily_pattern(tou_pattern(), 48)
         with pytest.raises(PlanError, match="hour 24") as err:
-            tou_dispatch(net, profiles, _fixed_plan(spec, 1.0), tariff,
-                         v_limits=(0.95, 1.05))
+            tou_dispatch(net, profiles, _fixed_plan(spec, 1.0), tariff)
         assert err.value.hours[0] == 24
 
 

@@ -5,10 +5,12 @@ It must exit 0, be byte-stable for a fixed --seed, write the same
 bytes a csv.writer with repr float cells would (the oracle is inlined
 below), and exit 2 on a missing input file.
 
-`vva`, `stat` and `run` run on a 5-bus line feeder over one day whose
-evening peak undervolts the far end. Each command must exit 0 with its
-status in summary.json, and write the same report bytes twice for one
---seed, the second time on two threads. An unknown config key exits 2.
+`vva`, `stat`, `plan`, `validate`, `economics` and `run` run on a 5-bus
+line feeder over one day whose evening peak undervolts the far end.
+Each command must exit 0 with its status in summary.json, and write the
+same report bytes twice for one --seed, the second time on two threads.
+An unknown config key exits 2, and a storage cap far below what the
+peak needs exits 3 from the plan stage.
 """
 
 import csv
@@ -116,9 +118,11 @@ def test_missing_profiles_exit_two(inputs, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# -- vva, stat and run on a small feeder -------------------------------
+# -- the solver subcommands on a small feeder --------------------------
 
-STATUS = {"vva": "stopped:vva", "stat": "stopped:stat", "run": "pass"}
+STATUS = {"vva": "stopped:vva", "stat": "stopped:stat",
+          "plan": "stopped:plan", "validate": "pass", "economics": "pass",
+          "run": "pass"}
 LINE_BUSES = (2, 3, 4, 5)
 
 
@@ -171,6 +175,9 @@ def test_command_exits_zero_with_its_status(line_runs, cmd):
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == STATUS[cmd]
         assert summary["violations"] > 0
+        # only the commands that price the plan write economics rows
+        rows = (out / "economics.csv").read_text().splitlines()[1:]
+        assert bool(rows) == (cmd in ("economics", "run"))
 
 
 @pytest.mark.parametrize("cmd", sorted(STATUS))
@@ -195,6 +202,7 @@ def test_economics_cells_are_plain_floats(line_runs):
 @pytest.mark.parametrize("key, value, message", [
     ("bogus", 1, "unknown config keys: ['bogus']"),
     ("solver", {"big_m": "capacity"}, "unknown keys in 'solver'"),
+    ("solver", {"time_limit": 60.0}, "unknown keys in 'solver'"),
 ])
 def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
                                       value, message):
@@ -205,6 +213,20 @@ def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
     assert main(["stat", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unfixable_violations_exit_three(line_inputs, tmp_path, capsys):
+    doc = json.loads((line_inputs / "config.json").read_text())
+    # the evening peak needs tens of kWh at the far end; the node cap
+    # keeps a solve that cannot prove this from running long
+    doc["bess"] = {"e_max_kwh": 0.1}
+    doc["solver"] = {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 2}
+    path = line_inputs / "small_bess.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out"), "--seed", "3"]) == 3
+    assert "[plan] violations cannot be fixed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -93,16 +93,6 @@ class Cones:
             O[:, 1:] = Y[:, :1] * X[:, 1:] + X[:, :1] * Y[:, 1:]
         return out
 
-    def ssqr(self, y):
-        """y o y."""
-        out = np.empty(self.cdim)
-        l = self.l
-        out[:l] = y[:l] ** 2
-        for Y, O in self._views(y, out):
-            O[:, 0] = np.einsum("bi,bi->b", Y, Y)
-            O[:, 1:] = 2.0 * Y[:, :1] * Y[:, 1:]
-        return out
-
     def sinv(self, x, y):
         """Solve y o z = x for z."""
         out = np.empty(self.cdim)
@@ -732,7 +722,7 @@ def _conelp(c, G, h, dims, A, b, feastol, abstol, reltol, maxiters):
                 ukappa += dk_
             return ux, uy, uz, utau, us, ukappa
 
-        lmbdasq = cone.ssqr(lmbda)
+        lmbdasq = cone.sprod(lmbda, lmbda)
         lgsq = lg * lg
         mu = (float(lmbda @ lmbda) + lgsq) / (1 + cone.degree)
         sigma = 0.0

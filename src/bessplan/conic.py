@@ -39,7 +39,8 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    status: str  # optimal | infeasible | unbounded | gap-limit | iteration-limit
+    status: str  # optimal | infeasible | unbounded | iteration-limit, or
+    # from solve_misocp gap-limit | no-incumbent (empty x, infinite gap)
     objective: float
     x: dict
     gap: float | None = None  # relative MIP gap, None for pure relaxations
@@ -62,7 +63,6 @@ class ConicProgram:
         self._ub = []
         self._binary = []
         self._obj = {}
-        self._obj_const = 0.0
         self._eqs = []     # (coeffs: {idx: a}, rhs)
         self._ineqs = []   # (coeffs, rhs), meaning coeffs . x <= rhs
         self._cones = []   # ("r", v, l, [terms]) or ("s", t, [terms])
@@ -86,10 +86,9 @@ class ConicProgram:
             self._binary.append(self._index[name])
         return name
 
-    def minimize(self, coeffs, constant=0.0):
+    def minimize(self, coeffs):
         self._mutable()
         self._obj = self._row(coeffs)
-        self._obj_const = float(constant)
 
     def add_eq(self, coeffs, rhs):
         self._mutable()
@@ -284,7 +283,7 @@ def solve_relaxation(prog: ConicProgram, cfg: SolverConfig | None = None) \
                            raw["iterations"])
     xs = {nm: float(v) for nm, v in zip(prog._names, raw["x"])}
     obj = (raw["pcost"] if raw["pcost"] is not None else math.nan)
-    obj = obj * scale + prog._obj_const
+    obj = obj * scale
     if status == "unbounded":
         obj = -math.inf
         res = math.nan
@@ -318,7 +317,9 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
 
     Best-bound node selection; branches on the most fractional binary,
     ties to the lowest declaration index. Stops at relative gap
-    <= cfg.mip_gap or at the node limit.
+    <= cfg.mip_gap (optimal) or at the node limit (gap-limit). A search
+    that stops before any integer solution, a root relaxation without a
+    point too, reports no-incumbent with an empty x and an infinite gap.
 
     If trace is a list, one (node_bound, incumbent_objective) pair is
     appended per processed node; bounds are non-decreasing and incumbent
@@ -338,7 +339,7 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
         status = _STATUS[raw["status"]]
         obj = None
         if raw["x"] is not None and raw["pcost"] is not None:
-            obj = raw["pcost"] * scale + prog._obj_const
+            obj = raw["pcost"] * scale
         return status, obj, raw["x"]
 
     incumbent = None  # (objective, assignment dict)
@@ -359,8 +360,6 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
         return SolveResult("infeasible", math.inf, {}, math.inf, math.inf, 1)
     if status == "unbounded":
         return SolveResult("unbounded", -math.inf, {}, math.inf, math.nan, 1)
-    if xv is None:
-        return SolveResult("gap-limit", math.inf, {}, math.inf, math.inf, 1)
     if not binaries and status == "optimal":
         # nothing to branch on: the root is the answer
         if trace is not None:
@@ -370,8 +369,9 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
 
     counter = 0
     heap = []  # (bound, counter, fixes, frac_x)
-    heapq.heappush(heap, (obj if obj is not None else -math.inf,
-                          counter, {}, xv))
+    if xv is not None:
+        heapq.heappush(heap, (obj if obj is not None else -math.inf,
+                              counter, {}, xv))
 
     def within_gap(bound):
         """No node of this bound can improve the incumbent enough."""
@@ -426,8 +426,8 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
             heapq.heappush(heap, (max(cbound, bound), counter, child, cxv))
 
     if incumbent is None:
-        return SolveResult("gap-limit", math.inf, {}, math.inf, math.inf,
-                           nodes_done)
+        return SolveResult("no-incumbent", math.inf, {}, math.inf,
+                           math.inf, nodes_done)
     lb = incumbent[0] if stop is None else stop
     gap = max(0.0, incumbent[0] - lb) / max(1.0, abs(incumbent[0]))
     xs = incumbent[1]

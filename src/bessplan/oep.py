@@ -6,8 +6,9 @@ physics per hour with hard voltage limits, plus per-candidate storage
 blocks (capacity gating, charge/discharge and reactive bounds gated by
 binaries through computed big-M constants, SOC band, hourly energy
 dynamics with cyclic closure at the window ends). plan() solves and
-audits. tou_dispatch re-optimizes a fixed plan against an hourly
-tariff, day by day.
+audits. dispatch_day operates a fixed plan over one day, with the
+voltage limits elastic when it validates; tou_dispatch re-optimizes a
+fixed plan against an hourly tariff, day by day.
 
 Unit conventions: network flows in p.u. on the network bases; storage
 power in kW, energy in kWh; the balance rows carry the kW -> p.u.
@@ -16,7 +17,6 @@ conversion factor so both live in one program.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,6 +25,12 @@ from ._parallel import pmap
 from .conic import ConicProgram, SolverConfig, solve_misocp
 from .netmodel import LoadProfileSet, Network
 from .vva import _hour_block
+
+# cost of an elastic voltage limit per p.u. of v^2 it gives: far above
+# the loss and tie-break terms, so a day that can hold the limits does
+VIOLATION_PENALTY = 100.0
+# tolerance (kWh, kW, kvar) of the physical plan audit
+AUDIT_TOL = 1e-6
 
 
 class PlanError(RuntimeError):
@@ -318,12 +324,12 @@ def _collect_dispatch(res, buses, hours):
     return out
 
 
-def audit_plan(plan: BessPlan, spec: BessSpec, runs, tol=1e-6):
+def audit_plan(plan: BessPlan, spec: BessSpec, runs):
     """Physical consistency checks on an extracted plan.
 
     Raises AuditError on: simultaneous charge/discharge or inj/abs,
     dispatch at uninstalled buses, SOC band escapes, energy dynamics
-    replay drift beyond tol, or broken cyclic closure.
+    replay drift beyond AUDIT_TOL, or broken cyclic closure.
     """
     pos = {t: k for k, t in enumerate(plan.hours)}
     for b in plan.buses:
@@ -332,30 +338,30 @@ def audit_plan(plan: BessPlan, spec: BessSpec, runs, tol=1e-6):
         qi, qa = plan.q_inj_kvar[b], plan.q_abs_kvar[b]
         e = plan.e_ess_kwh[b]
         if not plan.installed[b]:
-            if cap > tol or any(np.max(a, initial=0.0) > tol
-                                for a in (ch, dis, qi, qa)):
+            if cap > AUDIT_TOL or any(np.max(a, initial=0.0) > AUDIT_TOL
+                                      for a in (ch, dis, qi, qa)):
                 raise AuditError(f"bus {b}: dispatch without installation")
         both = np.minimum(ch, dis)
-        if both.size and both.max() > tol:
+        if both.size and both.max() > AUDIT_TOL:
             raise AuditError(f"bus {b}: simultaneous charge/discharge "
                              f"{both.max():.3e} kW")
         both = np.minimum(qi, qa)
-        if both.size and both.max() > tol:
+        if both.size and both.max() > AUDIT_TOL:
             raise AuditError(f"bus {b}: simultaneous reactive inj/abs "
                              f"{both.max():.3e} kvar")
         if e.size:
-            if e.min() < spec.soc_min * cap - tol or \
-                    e.max() > spec.soc_max * cap + tol:
+            if e.min() < spec.soc_min * cap - AUDIT_TOL or \
+                    e.max() > spec.soc_max * cap + AUDIT_TOL:
                 raise AuditError(f"bus {b}: stored energy outside SOC band")
         for run in runs:
             prev = plan.e_start_kwh[b]
             for t in run:
                 k = pos[t]
                 prev = prev + ch[k] * spec.eta_ch - dis[k] / spec.eta_dis
-                if abs(prev - e[k]) > tol:
+                if abs(prev - e[k]) > AUDIT_TOL:
                     raise AuditError(f"bus {b} hour {t}: energy replay "
                                      f"drift {abs(prev - e[k]):.3e} kWh")
-            if abs(prev - plan.e_start_kwh[b]) > tol:
+            if abs(prev - plan.e_start_kwh[b]) > AUDIT_TOL:
                 raise AuditError(f"bus {b}: window not cyclic "
                                  f"({prev:.6f} vs {plan.e_start_kwh[b]:.6f})")
 
@@ -384,8 +390,8 @@ def plan(prog: ConicProgram, cfg: SolverConfig | None = None) -> BessPlan:
         raise PlanError(
             "violations cannot be fixed within the capacity caps; "
             f"binding hours: {list(hours)}", hours)
-    if res.status == "unbounded":
-        raise PlanError("planning program unbounded (bad inputs)")
+    if res.status not in ("optimal", "gap-limit"):
+        raise PlanError(f"planning solve ended {res.status}")
 
     spec = meta["spec"]
     buses = meta["candidates"]
@@ -400,7 +406,7 @@ def plan(prog: ConicProgram, cfg: SolverConfig | None = None) -> BessPlan:
     out = BessPlan(
         buses=buses, hours=hours, installed=installed,
         capacity_kwh=caps, objective=cost,
-        gap=res.gap if res.gap is not None else math.nan,
+        gap=res.gap,
         e_start_kwh={b: spec.soc_initial * caps[b] for b in buses},
         spec=spec, **disp)
     audit_plan(out, spec, runs)
@@ -420,7 +426,7 @@ def _binding_hours(meta):
 @dataclass
 class DayDispatch:
     hours: tuple
-    status: str
+    status: str               # the day solve's: optimal | gap-limit
     cost: float               # $ under the day's prices (0 for loss runs)
     losses_kwh: float
     v_sq: np.ndarray          # (n_bus, len(hours))
@@ -435,6 +441,12 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
     the slack injection. Cyclic SOC anchored at soc_initial. Buses
     with zero capacity contribute no variables, so a zero plan is the
     plain network model.
+
+    v_limits (lo, hi) p.u., if given, is elastic: each non-slack
+    bus-hour has a slack s >= 0 with v + s/k >= lo^2 and v - s/k <= hi^2,
+    k = VIOLATION_PENALTY, at unit cost (k per p.u. of v^2), so idle
+    storage is always feasible and the objective keeps its scale. A day
+    infeasible anyway (past a branch current cap) raises PlanError.
     """
     cfg = cfg or _planning_config()
     runs = _segments(hours)
@@ -453,14 +465,20 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
     for b, cap in active.items():
         _storage_block(prog, spec, b, hours, k_pu, float(cap), p_extra,
                        q_extra, net.idx[b])
-    vb = None if v_limits is None else \
-        (v_limits[0] ** 2, v_limits[1] ** 2)
     obj = {}
+    slacks = []
+    unit = 1.0 / VIOLATION_PENALTY    # v^2 bought by one unit of slack
     for t in hours:
-        _hour_block(prog, net, net.to_pu_power(p_kw[t]),
-                    net.to_pu_power(q_kvar[t]), t, net.slack_v(t) ** 2,
-                    v_bounds=vb, p_extra=p_extra.get(t),
-                    q_extra=q_extra.get(t))
+        v = _hour_block(prog, net, net.to_pu_power(p_kw[t]),
+                        net.to_pu_power(q_kvar[t]), t, net.slack_v(t) ** 2,
+                        p_extra=p_extra.get(t), q_extra=q_extra.get(t))[0]
+        if v_limits is not None:
+            for i in range(net.n_bus):
+                if i != net.slack:
+                    s = prog.add_var(f"s[{i},{t}]", lb=0.0)
+                    prog.add_ineq({v[i]: -1.0, s: -unit}, -v_limits[0] ** 2)
+                    prog.add_ineq({v[i]: 1.0, s: -unit}, v_limits[1] ** 2)
+                    slacks.append(s)
         if prices is None:
             for e in range(net.n_branch):
                 name = f"l[{e},{t}]"
@@ -469,17 +487,17 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
             # $ per hour = price ($/kWh) * slack injection (kW) * 1 h
             obj[f"Ps[{t}]"] = float(prices[t]) * 1000.0 * net.s_base_mva
     _anchor_binaries(prog, obj)
+    obj.update(dict.fromkeys(slacks, 1.0))
     prog.minimize(obj)
 
     res = solve_misocp(prog, cfg)
-    n, T = net.n_bus, len(hours)
     if res.status == "infeasible":
-        return DayDispatch(tuple(hours), "infeasible", math.inf,
-                           math.inf, np.zeros((n, 0)), {})
+        raise PlanError(f"dispatch infeasible on day starting hour "
+                        f"{hours[0]}", hours)
     if res.status not in ("optimal", "gap-limit"):
         raise RuntimeError(f"dispatch solve failed: {res.status}")
     v_sq = np.array([[res.x[f"v[{i},{t}]"] for t in hours]
-                     for i in range(n)])
+                     for i in range(net.n_bus)])
     losses_pu = sum(net.r[e] * res.x[f"l[{e},{t}]"]
                     for e in range(net.n_branch) for t in hours)
     losses_kwh = losses_pu * 1000.0 * net.s_base_mva
@@ -488,7 +506,7 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
         cost = sum(float(prices[t]) * 1000.0 * net.s_base_mva *
                    res.x[f"Ps[{t}]"] for t in hours)
     storage = _collect_dispatch(res, list(active), hours) if active else {}
-    return DayDispatch(tuple(hours), "optimal", cost, losses_kwh, v_sq,
+    return DayDispatch(tuple(hours), res.status, cost, losses_kwh, v_sq,
                        storage)
 
 
@@ -505,8 +523,8 @@ def tou_dispatch(net, profiles, plan_: BessPlan, tariff: TouTariff,
 
     Days solve independently (daily-cyclic SOC) with no voltage limits,
     so a day is infeasible only where the network cannot carry its load,
-    for example past a branch current cap; infeasible days raise with
-    the day's first hour named.
+    for example past a branch current cap; dispatch_day then raises
+    PlanError naming the day's first hour.
     """
     if hours is None:
         hours = range(profiles.n_hours)
@@ -521,10 +539,6 @@ def tou_dispatch(net, profiles, plan_: BessPlan, tariff: TouTariff,
                             spec, None, prices=tariff.prices, cfg=cfg)
 
     parts = pmap(one, days, threads)
-    for day, part in zip(days, parts):
-        if part.status == "infeasible":
-            raise PlanError(f"dispatch infeasible on day starting hour "
-                            f"{day[0]}", day)
     return TouResult(sum(p.cost for p in parts),
                      sum(p.losses_kwh for p in parts), tuple(parts))
 

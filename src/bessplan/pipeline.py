@@ -3,10 +3,10 @@
 The run is staged: screen the full horizon for voltage violations,
 reduce the problem in time (worst stress window) and space (clustered
 candidate buses), size and place storage over the monitored window,
-then validate day by day across the whole horizon. A failed validation
-backtracks by adding the next-ranked window and re-planning, up to a
-round cap. Reports are plain CSV/JSON files, byte-stable under a fixed
-master seed.
+then validate day by day across the whole horizon, one elastic solve
+per day. A failed validation backtracks by adding the next-ranked
+window and re-planning, up to a round cap. Reports are plain CSV/JSON
+files, byte-stable under a fixed master seed.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ from .stat import (CandidateSet, DEFAULT_WEIGHTS, DEFAULT_WINDOW_DAYS,
 from .vva import detect_violations, node_stats, run_vva, violation_records
 
 BACKTRACK_CAP = 5
+# p.u. a validated voltage may end outside the limits: above the
+# interior point's noise on a plan sized to the limits (about 3e-7)
+VALIDATION_TOL = 5e-7
 
 
 class StageError(RuntimeError):
@@ -223,66 +226,49 @@ def read_tariff(path, n_hours) -> TouTariff:
 class ValidationVerdict:
     """Outcome of one full-horizon validation round.
 
-    hours/v_sq carry the validated voltages (relaxed re-solves included
-    for failed days) for reporting; monitored lists the planning hours
-    the round's plan was sized on.
+    v_sq carries the validated voltages of every horizon hour for
+    reporting; residuals are the bus-hours more than VALIDATION_TOL
+    outside the limits, and infeasible_days the first hour of each day
+    they fall on, a day the plan cannot hold within the hard limits.
+    monitored lists the planning hours the round's plan was sized on.
     """
 
-    passed: bool
-    residuals: tuple          # ViolationRecord from relaxed re-solves
-    infeasible_days: tuple    # first hour of each infeasible day
+    residuals: tuple          # ViolationRecord beyond VALIDATION_TOL
+    infeasible_days: tuple    # first hour of each day with a residual
     round_index: int
-    hours: tuple = ()
-    v_sq: object = None       # (n_bus, len(hours))
+    v_sq: np.ndarray          # (n_bus, n_hours)
     monitored: tuple = ()
 
-    def __post_init__(self):
-        if not self.passed and not (self.residuals or self.infeasible_days):
-            raise ValueError(
-                "failed verdict must carry residuals or infeasible days")
+    @property
+    def passed(self):
+        return not self.residuals
 
 
 def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
                   round_index: int = 0) -> ValidationVerdict:
     """Re-dispatch the frozen plan day by day over the whole horizon.
 
-    Every day solves a loss-minimizing operation of the plan's storage
+    Every day is one loss-minimizing operation of the plan's storage
     (plan_.spec) with daily-cyclic SOC and the network's voltage limits
-    as hard bounds. The verdict passes iff all days are feasible; failed
-    days get a relaxed re-solve (limits dropped) whose violations become
-    the residual records.
+    made elastic (see dispatch_day), so only a branch current cap can
+    make a day infeasible (PlanError). The verdict passes iff no voltage
+    ends more than VALIDATION_TOL p.u. outside the limits; the ones that
+    do are the residual records.
     """
-    spec = plan_.spec
-    v_limits = (net.v_lower, net.v_upper)
     days = _day_chunks(range(profiles.n_hours))
-    caps = plan_.capacity_kwh
 
     def one(day):
-        return dispatch_day(net, profiles, day, caps, spec, v_limits, cfg=cfg)
+        return dispatch_day(net, profiles, day, plan_.capacity_kwh,
+                            plan_.spec, (net.v_lower, net.v_upper), cfg=cfg)
 
-    parts = pmap(one, days, threads)
-
-    infeasible = []
-    residuals = []
-    blocks = []
-    kept_hours = []
-    for day, part in zip(days, parts):
-        if part.status == "infeasible":
-            infeasible.append(day[0])
-            diag = dispatch_day(net, profiles, day, caps, spec, None, cfg=cfg)
-            if diag.status != "infeasible":
-                residuals.extend(violation_records(
-                    net.ids, day, profiles.horizon[day], diag.v_sq,
-                    *v_limits))
-                blocks.append(diag.v_sq)
-                kept_hours.extend(day)
-        else:
-            blocks.append(part.v_sq)
-            kept_hours.extend(day)
-    v_sq = np.hstack(blocks) if blocks else np.zeros((net.n_bus, 0))
-    return ValidationVerdict(not infeasible, tuple(residuals),
-                             tuple(infeasible), round_index,
-                             tuple(kept_hours), v_sq)
+    v_sq = np.hstack([part.v_sq for part in pmap(one, days, threads)])
+    residuals = tuple(r for r in violation_records(
+        net.ids, range(profiles.n_hours), profiles.horizon, v_sq,
+        net.v_lower, net.v_upper) if r.severity > VALIDATION_TOL)
+    failed = {r.hour for r in residuals}
+    return ValidationVerdict(
+        residuals, tuple(d[0] for d in days if failed.intersection(d)),
+        round_index, v_sq)
 
 
 def backtrack(used, ranked):
@@ -319,10 +305,8 @@ class PvmReport:
     notes: tuple = ()
 
     def __post_init__(self):
-        if self.status == "pass":
-            last = self.verdicts[-1]
-            if not (last.passed and not last.residuals):
-                raise ValueError("pass status with a failing final verdict")
+        if self.status == "pass" and not self.verdicts[-1].passed:
+            raise ValueError("pass status with a failing final verdict")
         if self.status == "no-investment" and self.violations:
             raise ValueError("no-investment status despite violations")
 
@@ -457,9 +441,7 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
         notes.append(f"backtrack cap {cfg.backtrack_cap} reached without a "
                      "passing validation")
 
-    last = verdicts[-1]
-    after = voltage_summary(net.ids, np.sqrt(last.v_sq)) \
-        if len(last.hours) else {}
+    after = voltage_summary(net.ids, np.sqrt(verdicts[-1].v_sq))
 
     rows = ()
     if economics and status == "pass":

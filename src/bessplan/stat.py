@@ -24,6 +24,8 @@ DEFAULT_WINDOW_DAYS = 7
 
 # active-power probe for voltage sensitivities, p.u.
 PROBE_PU = 0.01
+# Lloyd iterations per k-means run
+KMEANS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -261,12 +263,13 @@ def combined_metric(features, alpha_eol=1.0) -> list:
     return features
 
 
-def kmeans(X, k, seed=0, max_iter=100):
+def kmeans(X, k, seed=0):
     """Lloyd's algorithm with k-means++ seeding.
 
     Returns (labels, centers, inertia history); the history is the
     assignment-step inertia per iteration, non-increasing for a sane
-    run. Empty clusters are reseeded at the farthest point.
+    run, over at most KMEANS_MAX_ITER iterations. Empty clusters are
+    reseeded at the farthest point.
     """
     X = np.asarray(X, dtype=float)
     n = len(X)
@@ -286,7 +289,7 @@ def kmeans(X, k, seed=0, max_iter=100):
 
     labels = None
     history = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         D = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new = D.argmin(axis=1)
         history.append(float(D[np.arange(n), new].sum()))

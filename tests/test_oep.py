@@ -420,14 +420,43 @@ class TestDispatchDay:
             dispatch_day(net, profiles, range(23, 26), {}, BessSpec(),
                          None)
 
-    def test_hopeless_day_reports_infeasible(self):
+    def test_hopeless_day_ends_below_the_limit(self):
+        # the voltage limits are elastic: a load no storage can lift
+        # solves, and the day's voltage is the bare load flow's, far
+        # below the lower limit (a one-hour cyclic day cannot discharge)
         net = uv_feeder()
         rows = [{2: (2500.0, 800.0)}]
         profiles = profiles_from_rows(net, "2024-06-01T00", rows)
         out = dispatch_day(net, profiles, [0], {2: 1.0},
                            active_only_spec(e_max_kwh=1.0), (0.95, 1.05))
-        assert out.status == "infeasible"
-        assert out.cost == math.inf
+        assert out.status == "optimal"
+        p_kw, q_kvar = profiles.aligned(net)
+        v, _, _, _ = sweep_power_flow(net, p_kw[0], q_kvar[0])
+        assert np.abs(out.v_sq[:, 0] - v).max() <= 1e-6
+        assert math.sqrt(out.v_sq[net.idx[2], 0]) < 0.95 - 0.01
+
+    def test_elastic_limits_outbid_the_losses(self):
+        # hour 5 undervolts on a low slack voltage; hour 6 carries a far
+        # larger load on a high one, so the losses would rather the
+        # storage discharge there. The unit sized on the day holds the
+        # energy for hour 5 but not for full power in both hours, so
+        # the elastic day must pay for hour 5 against the losses
+        sv = [1.0] * 24
+        sv[5], sv[6] = 0.965, 1.04
+        net = feeder(2, [(1, 2, 0.05, 0.03)], {2: (150.0, 60.0)},
+                     name="trade2", slack_voltage_pu=sv)
+        rows = [{2: (150.0, 60.0)} for _ in range(24)]
+        rows[5] = {2: (400.0, 100.0)}
+        rows[6] = {2: (1600.0, 100.0)}
+        profiles = profiles_from_rows(net, "2024-06-01T00", rows)
+        spec = active_only_spec(e_max_kwh=2000.0)
+        caps = plan(build_toep(net, profiles, range(24), [2], spec)) \
+            .capacity_kwh
+        loss_only = dispatch_day(net, profiles, range(24), caps, spec, None)
+        assert math.sqrt(loss_only.v_sq[1].min()) < 0.95 - 1e-3
+        held = dispatch_day(net, profiles, range(24), caps, spec,
+                            (0.95, 1.05))
+        assert math.sqrt(held.v_sq[1].min()) >= 0.95 - 5e-7
 
 
 class TestTouDispatch:

@@ -9,8 +9,11 @@ below), and exit 2 on a missing input file.
 line feeder over one day whose evening peak undervolts the far end.
 Each command must exit 0 with its status in summary.json, and write the
 same report bytes twice for one --seed, the second time on two threads.
-An unknown config key exits 2, and a storage cap far below what the
-peak needs exits 3 from the plan stage.
+A passing plan's validated voltages lie within the limits up to
+VALIDATION_TOL. An unknown config key exits 2; a storage cap far below
+what the peak needs, or a node limit that stops sizing before any
+integer solution, exits 3 from the plan stage. A plan sized on a short
+sag that fails validation on a longer one exits 1.
 """
 
 import csv
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 
 from bessplan.netmodel import LoadProfileSet, load_network
-from bessplan.pipeline import load_config, main
+from bessplan.pipeline import VALIDATION_TOL, load_config, main
 from bessplan.scenarios import (generate_annual, overlay_penetration,
                                 read_distributions)
 
@@ -126,31 +129,41 @@ STATUS = {"vva": "stopped:vva", "stat": "stopped:stat",
 LINE_BUSES = (2, 3, 4, 5)
 
 
-@pytest.fixture(scope="module")
-def line_inputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("line")
-    doc = {"name": "line5", "bases": {"s_mva": 1.0, "v_kv": 11.0},
-           "limits": {"v_lower_pu": 0.95, "v_upper_pu": 1.05},
-           "buses": [{"id": 1, "kind": "slack", "p_base_kw": 0.0,
-                      "q_base_kvar": 0.0}] +
-                    [{"id": b, "kind": "load", "p_base_kw": 200.0,
-                      "q_base_kvar": 90.0} for b in LINE_BUSES],
-           "branches": [{"from": b - 1, "to": b, "r_pu": 0.02,
-                         "x_pu": 0.012} for b in LINE_BUSES]}
-    (root / "feeder.json").write_text(json.dumps(doc))
-    # half load except a full-load peak at 17:00-19:00
-    shape = np.where((np.arange(24) >= 17) & (np.arange(24) < 20), 1.0, 0.5)
-    factor = np.repeat(shape[:, None], len(LINE_BUSES), axis=1)
-    horizon = np.datetime64("2025-01-01T00", "h") + np.arange(24)
+LINE_FEEDER = {
+    "name": "line5", "bases": {"s_mva": 1.0, "v_kv": 11.0},
+    "limits": {"v_lower_pu": 0.95, "v_upper_pu": 1.05},
+    "buses": [{"id": 1, "kind": "slack", "p_base_kw": 0.0,
+               "q_base_kvar": 0.0}] +
+             [{"id": b, "kind": "load", "p_base_kw": 200.0,
+               "q_base_kvar": 90.0} for b in LINE_BUSES],
+    "branches": [{"from": b - 1, "to": b, "r_pu": 0.02, "x_pu": 0.012}
+                 for b in LINE_BUSES]}
+
+
+def write_line_inputs(root, shape, config):
+    """Line feeder, profiles of base load x shape (per hour), a tariff
+    and config.json; returns the config path."""
+    (root / "feeder.json").write_text(json.dumps(LINE_FEEDER))
+    factor = np.repeat(np.asarray(shape)[:, None], len(LINE_BUSES), axis=1)
+    horizon = np.datetime64("2025-01-01T00", "h") + np.arange(len(shape))
     LoadProfileSet(horizon, list(LINE_BUSES), 200.0 * factor,
                    90.0 * factor).to_csv(root / "profiles.csv")
     (root / "tariff.txt").write_text(
         "\n".join(["0.1"] * 17 + ["0.3"] * 4 + ["0.1"] * 3) + "\n")
     config = {"network": "feeder.json", "profiles": "profiles.csv",
-              "tariff": "tariff.txt", "outdir": "out",
-              "scenarios": {"n": 4, "daily_prob": 0.9, "penetration": 0.5},
-              "stat": {"window_days": 1}}
+              "tariff": "tariff.txt", "outdir": "out", **config}
     (root / "config.json").write_text(json.dumps(config))
+    return root / "config.json"
+
+
+@pytest.fixture(scope="module")
+def line_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("line")
+    # half load except a full-load peak at 17:00-19:00
+    shape = np.where((np.arange(24) >= 17) & (np.arange(24) < 20), 1.0, 0.5)
+    write_line_inputs(root, shape, {
+        "scenarios": {"n": 4, "daily_prob": 0.9, "penetration": 0.5},
+        "stat": {"window_days": 1}})
     return root
 
 
@@ -178,6 +191,14 @@ def test_command_exits_zero_with_its_status(line_runs, cmd):
         # only the commands that price the plan write economics rows
         rows = (out / "economics.csv").read_text().splitlines()[1:]
         assert bool(rows) == (cmd in ("economics", "run"))
+        if STATUS[cmd] == "pass":
+            with open(out / "voltage_summary.csv", newline="") as fh:
+                after = [r for r in csv.DictReader(fh)
+                         if r["phase"] == "after"]
+            assert len(after) == len(LINE_BUSES) + 1
+            for row in after:
+                assert float(row["min"]) >= 0.95 - VALIDATION_TOL
+                assert float(row["max"]) <= 1.05 + VALIDATION_TOL
 
 
 @pytest.mark.parametrize("cmd", sorted(STATUS))
@@ -236,3 +257,41 @@ def test_config_keys_mirror_pvm_config(line_inputs):
     assert cfg.scenarios.n == 4 and cfg.stat.window_days == 1
     assert cfg.solver is None
     assert cfg.network == str(line_inputs / "feeder.json")
+
+
+def test_sizing_without_incumbent_exits_three(line_inputs, tmp_path,
+                                             capsys):
+    # one node is the root relaxation, which has fractional binaries
+    doc = json.loads((line_inputs / "config.json").read_text())
+    doc["solver"] = {"node_limit": 1}
+    path = line_inputs / "one_node.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out"), "--seed", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("[plan] ") and "no-incumbent" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_validation_exits_one(tmp_path):
+    # a one-hour sag on day 1 outranks a six-hour one on day 2 by maximum
+    # severity, so the plan is sized on the short sag; the long one needs
+    # more energy than it holds, and no other window is ranked
+    shape = np.full(48, 0.5)
+    shape[18] = 1.3
+    shape[40:46] = 1.25
+    config = write_line_inputs(tmp_path, shape, {
+        "scenarios": {"daily_prob": 0.0, "penetration": 0.0},
+        "stat": {"window_days": 1, "weights": [0, 0, 1, 0]},
+        "solver": {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 4}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "fail"
+    assert summary["total_capacity_kwh"] > 0
+    assert any("backtracking exhausted" in n for n in summary["notes"])
+    with open(out / "verdicts.csv", newline="") as fh:
+        rounds = list(csv.DictReader(fh))
+    assert rounds[0]["round"] == "0" and rounds[0]["passed"] == "False"
+    assert int(rounds[0]["residual_count"]) > 0
+    assert rounds[0]["infeasible_days"] == "24"

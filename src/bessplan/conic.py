@@ -148,8 +148,6 @@ class ConicProgram:
             return self._sealed
         n = self.n_vars
         rows, cols, vals, h = [], [], [], []
-        lb_row = {}
-        ub_row = {}
 
         def put(r, coeffs, rhs):
             for j, a in coeffs.items():
@@ -161,11 +159,9 @@ class ConicProgram:
         r = 0
         for j in range(n):
             if self._lb[j] is not None:
-                lb_row[j] = r
                 put(r, {j: -1.0}, -self._lb[j])
                 r += 1
             if self._ub[j] is not None:
-                ub_row[j] = r
                 put(r, {j: 1.0}, self._ub[j])
                 r += 1
         for coeffs, rhs in self._ineqs:
@@ -210,7 +206,6 @@ class ConicProgram:
         self._sealed = {
             "c": c, "G": G, "h": hv, "dims": {"l": nl, "q": q},
             "A": A, "b": np.array(bv, dtype=float),
-            "lb_row": lb_row, "ub_row": ub_row,
         }
         return self._sealed
 
@@ -248,20 +243,50 @@ def max_residual(prog: ConicProgram, assignment) -> float:
 
 
 def _run_ipm(prog, cfg, fixes=None):
-    """Continuous solve with optional binary fixings via bound-row edits."""
+    """Continuous solve with the variables in fixes ({index: value})
+    substituted as constants.
+
+    A fixed column moves into the right-hand sides and its cost into
+    pcost. Linear rows it leaves without a variable are dropped; if one
+    of them does not hold (0 <= h or 0 == b, to cfg.feas_tol) the node
+    is infeasible without a solve. x comes back over every variable,
+    fixed ones at their exact values. Without fixes the sealed matrices
+    go to the solver as they are.
+    """
     sealed = prog.seal()
-    h = sealed["h"]
-    if fixes:
-        h = h.copy()
-        for j, val in fixes.items():
-            h[sealed["lb_row"][j]] = -float(val)
-            h[sealed["ub_row"][j]] = float(val)
-    c = sealed["c"]
+    c, G, h, dims = sealed["c"], sealed["G"], sealed["h"], sealed["dims"]
+    A, b = sealed["A"], sealed["b"]
     scale = max(1.0, np.max(np.abs(c)) if c.size else 1.0)
-    return _ipm.conelp(c / scale, sealed["G"], h, sealed["dims"],
-                       sealed["A"], sealed["b"],
-                       feastol=cfg.feas_tol, abstol=cfg.cone_tol,
-                       reltol=cfg.cone_tol, maxiters=cfg.max_iters), scale
+    if fixes:
+        fixed = np.array(sorted(fixes))
+        val = np.array([float(fixes[j]) for j in fixed])
+        free = np.ones(len(c), dtype=bool)
+        free[fixed] = False
+        h = h - G[:, fixed] @ val
+        b = b - A[:, fixed] @ val
+        const = float(c[fixed] @ val)
+        G, A, c = G[:, free], A[:, free], c[free]
+        keep_g = np.diff(G.indptr) > 0
+        keep_g[dims["l"]:] = True       # cone rows keep their cone's size
+        keep_a = np.diff(A.indptr) > 0
+        if np.any(h[~keep_g] < -cfg.feas_tol) or \
+                np.any(np.abs(b[~keep_a]) > cfg.feas_tol):
+            return {"status": "primal infeasible", "x": None,
+                    "pcost": None, "iterations": 0}, scale
+        dims = {"l": int(np.count_nonzero(keep_g[:dims["l"]])),
+                "q": dims["q"]}
+        G, h, A, b = G[keep_g], h[keep_g], A[keep_a], b[keep_a]
+    raw = _ipm.conelp(c / scale, G, h, dims, A, b,
+                      feastol=cfg.feas_tol, abstol=cfg.cone_tol,
+                      reltol=cfg.cone_tol, maxiters=cfg.max_iters)
+    if fixes and raw["x"] is not None:
+        x = np.empty(len(free))
+        x[free] = raw["x"]
+        x[fixed] = val
+        raw["x"] = x
+        if raw["pcost"] is not None:
+            raw["pcost"] += const / scale
+    return raw, scale
 
 
 _STATUS = {
@@ -328,11 +353,8 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
     cfg = cfg or SolverConfig()
     binaries = list(prog._binary)
 
-    def names_of(vec, fixes):
-        out = {nm: float(v) for nm, v in zip(prog._names, vec)}
-        for j, val in fixes.items():
-            out[prog._names[j]] = float(val)
-        return out
+    def names_of(vec):
+        return {nm: float(v) for nm, v in zip(prog._names, vec)}
 
     def node_solve(fixes):
         raw, scale = _run_ipm(prog, cfg, fixes)
@@ -351,7 +373,7 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
         status, obj, xv = node_solve(fixes)
         if status == "optimal" and \
                 (incumbent is None or obj < incumbent[0] - 1e-12):
-            incumbent = (obj, names_of(xv, fixes))
+            incumbent = (obj, names_of(xv))
 
     # Root relaxation.
     status, obj, xv = node_solve({})
@@ -364,7 +386,7 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
         # nothing to branch on: the root is the answer
         if trace is not None:
             trace.append((obj, math.inf))
-        xs = names_of(xv, {})
+        xs = names_of(xv)
         return SolveResult("optimal", obj, xs, 0.0, max_residual(prog, xs), 1)
 
     counter = 0

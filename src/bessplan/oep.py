@@ -3,10 +3,12 @@
 build_toep assembles the capital-cost-minimizing sizing/placement
 MISOCP over a reduced hour window and candidate-bus set: branch-flow
 physics per hour with hard voltage limits, plus per-candidate storage
-blocks (capacity gating, charge/discharge and reactive bounds gated by
-binaries through computed big-M constants, SOC band, hourly energy
-dynamics with cyclic closure at the window ends). plan() solves and
-audits. dispatch_day operates a fixed plan over one day, with the
+blocks (capacity gating, charge and discharge gated by mode binaries
+through a computed big-M constant, one signed reactive output within
+the capacity's kvar band, SOC band, hourly energy dynamics with cyclic
+closure at the window ends). plan() solves and audits, and when the
+solve returns no plan tells a window no capacity can fix from a solver
+failure. dispatch_day operates a fixed plan over one day, with the
 voltage limits elastic when it validates; tou_dispatch re-optimizes a
 fixed plan against an hourly tariff, day by day.
 
@@ -24,13 +26,16 @@ import numpy as np
 from ._parallel import pmap
 from .conic import ConicProgram, SolverConfig, solve_misocp
 from .netmodel import LoadProfileSet, Network
-from .vva import _hour_block
+from .vva import _hour_block, violation_records
 
 # cost of an elastic voltage limit per p.u. of v^2 it gives: far above
 # the loss and tie-break terms, so a day that can hold the limits does
 VIOLATION_PENALTY = 100.0
 # tolerance (kWh, kW, kvar) of the physical plan audit
 AUDIT_TOL = 1e-6
+# p.u. a validated voltage may end outside the limits: above the
+# interior point's noise on a plan sized to the limits (about 3e-7)
+VALIDATION_TOL = 5e-7
 
 
 class PlanError(RuntimeError):
@@ -80,9 +85,6 @@ class BessSpec:
         """kW cap decoupled from any particular solution."""
         return max(self.c_rate_ch, self.c_rate_dis) * self.e_max_kwh
 
-    def big_m_reactive(self):
-        return max(self.kq_inj, self.kq_abs) * self.e_max_kwh
-
 
 @dataclass
 class BessPlan:
@@ -92,8 +94,7 @@ class BessPlan:
     capacity_kwh: dict        # bus -> float
     charge_kw: dict           # bus -> (T,) array over self.hours
     discharge_kw: dict
-    q_inj_kvar: dict
-    q_abs_kvar: dict
+    q_kvar: dict              # reactive output, > 0 injects, < 0 absorbs
     e_ess_kwh: dict           # end-of-hour stored energy
     e_start_kwh: dict         # anchor energy at each window start
     objective: float
@@ -110,7 +111,7 @@ class BessPlan:
         return cls(tuple(buses), (), {b: False for b in buses},
                    {b: 0.0 for b in buses}, {b: z for b in buses},
                    {b: z for b in buses}, {b: z for b in buses},
-                   {b: z for b in buses}, {b: z for b in buses},
+                   {b: z for b in buses},
                    {b: 0.0 for b in buses}, 0.0, 0.0,
                    spec or BessSpec())
 
@@ -169,7 +170,6 @@ def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
     frozen capacity (dispatch mode). Returns the E-chain var names.
     """
     m_act = spec.big_m_active()
-    m_rea = spec.big_m_reactive()
     sized = isinstance(cap_name, str)
 
     def cap_coeff(coeffs, factor, rhs=0.0):
@@ -186,12 +186,9 @@ def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
     for t in hours:
         pch = prog.add_var(f"Pch[{bus},{t}]", lb=0.0, ub=m_act)
         pdis = prog.add_var(f"Pdis[{bus},{t}]", lb=0.0, ub=m_act)
-        qinj = prog.add_var(f"Qinj[{bus},{t}]", lb=0.0, ub=m_rea)
-        qabs = prog.add_var(f"Qabs[{bus},{t}]", lb=0.0, ub=m_rea)
+        qb = prog.add_var(f"Qb[{bus},{t}]")    # the capacity rows bound it
         uch = prog.add_var(f"uch[{bus},{t}]", binary=True)
         udis = prog.add_var(f"udis[{bus},{t}]", binary=True)
-        uinj = prog.add_var(f"uinj[{bus},{t}]", binary=True)
-        uabs = prog.add_var(f"uabs[{bus},{t}]", binary=True)
         e = prog.add_var(f"E[{bus},{t}]", lb=0.0,
                          ub=spec.soc_max * cap_ub)
         e_names.append(e)
@@ -200,12 +197,9 @@ def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
         prog.add_ineq({pch: 1.0, uch: -m_act}, 0.0)
         cap_coeff({pdis: 1.0}, spec.c_rate_dis)
         prog.add_ineq({pdis: 1.0, udis: -m_act}, 0.0)
-        cap_coeff({qinj: 1.0}, spec.kq_inj)
-        prog.add_ineq({qinj: 1.0, uinj: -m_rea}, 0.0)
-        cap_coeff({qabs: 1.0}, spec.kq_abs)
-        prog.add_ineq({qabs: 1.0, uabs: -m_rea}, 0.0)
+        cap_coeff({qb: 1.0}, spec.kq_inj)
+        cap_coeff({qb: -1.0}, spec.kq_abs)
         prog.add_ineq({uch: 1.0, udis: 1.0}, 1.0)
-        prog.add_ineq({uinj: 1.0, uabs: 1.0}, 1.0)
         cap_coeff({e: 1.0}, spec.soc_max)
         cap_coeff({e: -1.0}, -spec.soc_min)
 
@@ -225,8 +219,7 @@ def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
         p_extra[t][bus_idx][pch] = -k_pu
         p_extra[t][bus_idx][pdis] = k_pu
         q_extra.setdefault(t, {}).setdefault(bus_idx, {})
-        q_extra[t][bus_idx][qabs] = -k_pu
-        q_extra[t][bus_idx][qinj] = k_pu
+        q_extra[t][bus_idx][qb] = k_pu
 
     if sized:
         prog.add_eq({e_prev: 1.0, cap_name: -spec.soc_initial}, 0.0)
@@ -240,8 +233,8 @@ def _anchor_binaries(prog, obj):
 
     Commitment binaries otherwise carry zero cost, so the relaxation has
     a flat optimal face (any z in [Ecap/Emax, 1] is optimal, same for
-    the mode flags) and the interior-point endgame stalls just short of
-    tolerance on that degenerate face. The anchor sits orders of
+    the charge/discharge flags) and the interior-point endgame stalls
+    just short of tolerance on that degenerate face. The anchor sits orders of
     magnitude below the real cost terms, so sizes and dispatch are
     unaffected; it only makes the relaxed binaries unique.
     """
@@ -317,8 +310,7 @@ def _collect_dispatch(res, buses, hours):
     out = {
         "charge_kw": {b: grab("Pch", b) for b in buses},
         "discharge_kw": {b: grab("Pdis", b) for b in buses},
-        "q_inj_kvar": {b: grab("Qinj", b) for b in buses},
-        "q_abs_kvar": {b: grab("Qabs", b) for b in buses},
+        "q_kvar": {b: grab("Qb", b) for b in buses},
         "e_ess_kwh": {b: grab("E", b) for b in buses},
     }
     return out
@@ -327,28 +319,24 @@ def _collect_dispatch(res, buses, hours):
 def audit_plan(plan: BessPlan, spec: BessSpec, runs):
     """Physical consistency checks on an extracted plan.
 
-    Raises AuditError on: simultaneous charge/discharge or inj/abs,
-    dispatch at uninstalled buses, SOC band escapes, energy dynamics
-    replay drift beyond AUDIT_TOL, or broken cyclic closure.
+    Raises AuditError on: simultaneous charge/discharge, dispatch at
+    uninstalled buses, SOC band escapes, energy dynamics replay drift
+    beyond AUDIT_TOL, or broken cyclic closure.
     """
     pos = {t: k for k, t in enumerate(plan.hours)}
     for b in plan.buses:
         cap = plan.capacity_kwh[b]
         ch, dis = plan.charge_kw[b], plan.discharge_kw[b]
-        qi, qa = plan.q_inj_kvar[b], plan.q_abs_kvar[b]
         e = plan.e_ess_kwh[b]
         if not plan.installed[b]:
-            if cap > AUDIT_TOL or any(np.max(a, initial=0.0) > AUDIT_TOL
-                                      for a in (ch, dis, qi, qa)):
+            if cap > AUDIT_TOL or any(
+                    np.max(np.abs(a), initial=0.0) > AUDIT_TOL
+                    for a in (ch, dis, plan.q_kvar[b])):
                 raise AuditError(f"bus {b}: dispatch without installation")
         both = np.minimum(ch, dis)
         if both.size and both.max() > AUDIT_TOL:
             raise AuditError(f"bus {b}: simultaneous charge/discharge "
                              f"{both.max():.3e} kW")
-        both = np.minimum(qi, qa)
-        if both.size and both.max() > AUDIT_TOL:
-            raise AuditError(f"bus {b}: simultaneous reactive inj/abs "
-                             f"{both.max():.3e} kvar")
         if e.size:
             if e.min() < spec.soc_min * cap - AUDIT_TOL or \
                     e.max() > spec.soc_max * cap + AUDIT_TOL:
@@ -385,13 +373,8 @@ def plan(prog: ConicProgram, cfg: SolverConfig | None = None) -> BessPlan:
         raise ValueError("prog must come from build_toep")
     cfg = cfg or _planning_config()
     res = solve_misocp(prog, cfg)
-    if res.status == "infeasible":
-        hours = _binding_hours(meta)
-        raise PlanError(
-            "violations cannot be fixed within the capacity caps; "
-            f"binding hours: {list(hours)}", hours)
     if res.status not in ("optimal", "gap-limit"):
-        raise PlanError(f"planning solve ended {res.status}")
+        raise _unsolved(meta, res.status, cfg)
 
     spec = meta["spec"]
     buses = meta["candidates"]
@@ -413,14 +396,37 @@ def plan(prog: ConicProgram, cfg: SolverConfig | None = None) -> BessPlan:
     return out
 
 
-def _binding_hours(meta):
-    """Window hours that violate limits even before any storage exists."""
-    from .vva import detect_violations, run_vva
-    net = meta["net"]
-    hours = [t for run in meta["runs"] for t in run]
-    sol = run_vva(net, meta["profiles"], hours=hours)
-    return sorted({r.hour for r in detect_violations(sol, net.v_lower,
-                                                     net.v_upper)})
+def _unsolved(meta, status, cfg):
+    """PlanError for a sizing solve that returned no plan.
+
+    Every candidate at e_max_kwh can run the schedule of any smaller
+    plan (its energy, raised by soc_initial times the added capacity,
+    stays in the SOC band), so each run of the window is dispatched at
+    those capacities with elastic limits: the hours still outside them
+    cannot be fixed by any plan. If there are none, a plan exists and
+    the solve's status is the error.
+    """
+    net, profiles, spec = meta["net"], meta["profiles"], meta["spec"]
+    full = dict.fromkeys(meta["candidates"], spec.e_max_kwh)
+    hours = set()
+    for run in meta["runs"]:
+        day = dispatch_day(net, profiles, run, full, spec,
+                           (net.v_lower, net.v_upper), cfg=cfg)
+        hours.update(r.hour for r in residuals(net, profiles, run, day.v_sq))
+    if hours:
+        return PlanError("violations cannot be fixed within the capacity "
+                         f"caps; binding hours: {sorted(hours)}",
+                         sorted(hours))
+    return PlanError(f"planning solve ended {status}")
+
+
+def residuals(net, profiles, hours, v_sq):
+    """Records of the bus-hours of v_sq, (n_bus, len(hours)), that end
+    more than VALIDATION_TOL outside the network's voltage limits."""
+    hours = list(hours)
+    return [r for r in violation_records(
+        net.ids, hours, profiles.horizon[hours], v_sq, net.v_lower,
+        net.v_upper) if r.severity > VALIDATION_TOL]
 
 
 @dataclass

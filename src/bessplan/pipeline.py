@@ -25,7 +25,7 @@ from ._parallel import pmap
 from .conic import SolverConfig
 from .netmodel import (LoadProfileSet, NetworkError, load_network)
 from .oep import (BessPlan, BessSpec, PlanError, TouTariff, _day_chunks,
-                  build_toep, dispatch_day)
+                  build_toep, dispatch_day, residuals)
 from .oep import plan as solve_plan
 from .oep import savings_report, tou_dispatch
 from .scenarios import (ScenarioError, detect_events, extract_ev_load,
@@ -39,12 +39,9 @@ from .stat import (CandidateSet, DEFAULT_WEIGHTS, DEFAULT_WINDOW_DAYS,
                    node_features, normalize_and_score, peak_severity_hour,
                    rank_windows, scored_day_rows, select_worst_window,
                    sensitivities, window_hours, window_rows)
-from .vva import detect_violations, node_stats, run_vva, violation_records
+from .vva import detect_violations, node_stats, run_vva
 
 BACKTRACK_CAP = 5
-# p.u. a validated voltage may end outside the limits: above the
-# interior point's noise on a plan sized to the limits (about 3e-7)
-VALIDATION_TOL = 5e-7
 
 
 class StageError(RuntimeError):
@@ -252,8 +249,8 @@ def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
     (plan_.spec) with daily-cyclic SOC and the network's voltage limits
     made elastic (see dispatch_day), so only a branch current cap can
     make a day infeasible (PlanError). The verdict passes iff no voltage
-    ends more than VALIDATION_TOL p.u. outside the limits; the ones that
-    do are the residual records.
+    ends more than oep.VALIDATION_TOL p.u. outside the limits; the ones
+    that do are the residual records (oep.residuals).
     """
     days = _day_chunks(range(profiles.n_hours))
 
@@ -262,12 +259,10 @@ def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
                             plan_.spec, (net.v_lower, net.v_upper), cfg=cfg)
 
     v_sq = np.hstack([part.v_sq for part in pmap(one, days, threads)])
-    residuals = tuple(r for r in violation_records(
-        net.ids, range(profiles.n_hours), profiles.horizon, v_sq,
-        net.v_lower, net.v_upper) if r.severity > VALIDATION_TOL)
-    failed = {r.hour for r in residuals}
+    out = tuple(residuals(net, profiles, range(profiles.n_hours), v_sq))
+    failed = {r.hour for r in out}
     return ValidationVerdict(
-        residuals, tuple(d[0] for d in days if failed.intersection(d)),
+        out, tuple(d[0] for d in days if failed.intersection(d)),
         round_index, v_sq)
 
 
@@ -570,6 +565,9 @@ def emit_reports(report: PvmReport, outdir) -> dict:
         "rounds": len(report.verdicts),
         "notes": list(report.notes),
     }
+    if report.plan is not None:
+        # relative distance of the sizing incumbent from its bound
+        summary["plan_gap"] = report.plan.gap
     with open(out("summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return paths

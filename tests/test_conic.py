@@ -256,6 +256,60 @@ class TestMISOCP:
         assert all(b1 <= b2 + 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
         assert all(i1 >= i2 for i1, i2 in zip(incs, incs[1:]))
 
+    def test_fixed_binary_closes_its_big_m_row_exactly(self):
+        # z = 0 closes y through a 1000x big-M row. Were z fixed through
+        # its bound rows, it would keep the interior point's slack, which
+        # the row passes on to y 1000-fold (2e-7 here); as a constant it
+        # leaves y only the zero-width box [0, 0] of y's own rows
+        prog = ConicProgram()
+        y = prog.add_var("y", lb=0.0, ub=1000.0)
+        z = prog.add_var("z", binary=True)
+        prog.add_ineq({y: 1.0, z: -1000.0}, 0.0)
+        one = prog.add_var("one", lb=1.0, ub=1.0)
+        w = prog.add_var("w", lb=1.0, ub=2.0)
+        prog.add_rotated_cone(one, w, [y])  # w >= y^2
+        prog.minimize({z: 1.0, w: 0.01})
+        res = solve_misocp(prog, SolverConfig(feas_tol=1e-7, cone_tol=1e-7))
+        assert res.status == "optimal"
+        assert res["z"] == 0.0
+        assert abs(res["y"]) <= 1e-9
+
+    def test_fixes_that_empty_a_row(self, monkeypatch):
+        # a + b <= 1 and a - b == 0 hold only the fixed binaries; x <= a + b
+        prog = ConicProgram()
+        a = prog.add_var("a", binary=True)
+        b = prog.add_var("b", binary=True)
+        x = prog.add_var("x", lb=0.0, ub=2.0)
+        prog.add_ineq({a: 1.0, b: 1.0}, 1.0)
+        prog.add_ineq({x: 1.0, a: -1.0, b: -1.0}, 0.0)
+        prog.minimize({a: 0.5, b: 0.25, x: -1.0})
+        cfg = SolverConfig()
+        calls = []
+        real = conic._ipm.conelp
+        monkeypatch.setattr(conic._ipm, "conelp", lambda *args, **kw:
+                            calls.append(args) or real(*args, **kw))
+        # the emptied row reads 0 <= 1 - 2: infeasible without a solve
+        raw, _ = conic._run_ipm(prog, cfg, {0: 1.0, 1: 1.0})
+        assert raw["status"] == "primal infeasible" and raw["x"] is None
+        assert calls == []
+        # 0 <= 1 - 1 holds and is dropped; the fixed costs count
+        raw, scale = conic._run_ipm(prog, cfg, {0: 1.0, 1: 0.0})
+        assert raw["status"] == "optimal"
+        assert raw["x"][0] == 1.0 and raw["x"][1] == 0.0
+        assert abs(raw["x"][2] - 1.0) <= 1e-6
+        assert abs(raw["pcost"] * scale + 0.5) <= 1e-6
+        assert calls[-1][1].shape == (3, 1)   # x's two bounds, x <= 1
+        eq = ConicProgram()
+        a = eq.add_var("a", binary=True)
+        b = eq.add_var("b", binary=True)
+        x = eq.add_var("x", lb=0.0, ub=1.0)
+        eq.add_eq({a: 1.0, b: -1.0}, 0.0)
+        eq.minimize({x: 1.0})
+        assert conic._run_ipm(eq, cfg, {0: 1.0, 1: 0.0})[0]["status"] == \
+            "primal infeasible"
+        assert conic._run_ipm(eq, cfg, {0: 1.0, 1: 1.0})[0]["status"] == \
+            "optimal"
+
     def test_deterministic_bitwise(self):
         a = solve_misocp(make_facility_instance(55, 5))
         b = solve_misocp(make_facility_instance(55, 5))

@@ -43,10 +43,8 @@ def active_only_spec(**kw):
 
 class TestBessSpec:
     def test_big_m_from_rates(self):
-        spec = BessSpec(e_max_kwh=800.0, c_rate_ch=0.3, c_rate_dis=0.5,
-                        kq_inj=0.2, kq_abs=0.6)
+        spec = BessSpec(e_max_kwh=800.0, c_rate_ch=0.3, c_rate_dis=0.5)
         assert spec.big_m_active() == 0.5 * 800.0
-        assert spec.big_m_reactive() == 0.6 * 800.0
 
     @pytest.mark.parametrize("bad", [
         dict(soc_min=0.5, soc_max=0.5),
@@ -88,13 +86,14 @@ class TestBuildStructure:
         net = feeder2()
         profiles = LoadProfileSet.constant(net, "2024-06-01T00", 24)
         prog = build_toep(net, profiles, range(24), [2], BessSpec())
-        # commitment z plus 4 mode flags per hour
-        assert len(prog.binaries) == 1 + 24 * 4
+        # commitment z plus charge and discharge flags per hour
+        assert len(prog.binaries) == 1 + 24 * 2
         # per hour: 6 flow rows + 1 SOC dynamics row; +1 cyclic closure
         assert len(prog._eqs) == 24 * 6 + 24 + 1
-        # per hour: 4 capacity couplings + 4 gates + 2 exclusions
-        # + 2 SOC band rows; +2 z/Ecap gating rows per candidate
-        assert len(prog._ineqs) == 24 * 12 + 2
+        # per hour: 4 capacity couplings (charge, discharge, reactive
+        # both ways) + 2 gates + 1 exclusion + 2 SOC band rows; +2
+        # z/Ecap gating rows per candidate
+        assert len(prog._ineqs) == 24 * 9 + 2
         assert len(prog._cones) == 24
 
     def test_gapped_window_gets_one_chain_per_run(self):
@@ -102,7 +101,7 @@ class TestBuildStructure:
         profiles = LoadProfileSet.constant(net, "2024-06-01T00", 72)
         hours = list(range(24)) + list(range(48, 72))
         prog = build_toep(net, profiles, hours, [2], BessSpec())
-        assert len(prog.binaries) == 1 + 48 * 4
+        assert len(prog.binaries) == 1 + 48 * 2
         # two cyclic closures, one per contiguous run
         assert len(prog._eqs) == 48 * 6 + 48 + 2
 
@@ -184,6 +183,9 @@ class TestZeroViolationPlan:
         assert result.objective <= 1e-3
         assert not any(result.installed.values())
         for b in result.buses:
+            # an uninstalled unit's capacity carries the noise of its own
+            # zero-width box, not big-M times that of its binary
+            assert result.capacity_kwh[b] <= 1e-8
             assert result.charge_kw[b].max(initial=0.0) <= 1e-6
             assert result.discharge_kw[b].max(initial=0.0) <= 1e-6
 
@@ -309,7 +311,7 @@ def tiny_plan(**overrides):
         buses=(2,), hours=(0, 1), installed={2: True},
         capacity_kwh={2: 100.0},
         charge_kw={2: np.zeros(2)}, discharge_kw={2: np.zeros(2)},
-        q_inj_kvar={2: np.zeros(2)}, q_abs_kvar={2: np.zeros(2)},
+        q_kvar={2: np.zeros(2)},
         e_ess_kwh={2: np.full(2, 50.0)}, e_start_kwh={2: 50.0},
         objective=0.0, gap=0.0, spec=spec)
     base.update(overrides)

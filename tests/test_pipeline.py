@@ -12,7 +12,9 @@ same report bytes twice for one --seed, the second time on two threads.
 A passing plan's validated voltages lie within the limits up to
 VALIDATION_TOL. An unknown config key exits 2; a storage cap far below
 what the peak needs, or a node limit that stops sizing before any
-integer solution, exits 3 from the plan stage. A plan sized on a short
+integer solution, exits 3 from the plan stage; the first names the
+hours no capacity can fix. Every command that sized a plan writes its
+final gap to summary.json as plan_gap. A plan sized on a short
 sag that fails validation on a longer one exits 1.
 """
 
@@ -26,7 +28,8 @@ import numpy as np
 import pytest
 
 from bessplan.netmodel import LoadProfileSet, load_network
-from bessplan.pipeline import VALIDATION_TOL, load_config, main
+from bessplan.oep import VALIDATION_TOL
+from bessplan.pipeline import load_config, main
 from bessplan.scenarios import (generate_annual, overlay_penetration,
                                 read_distributions)
 
@@ -191,6 +194,10 @@ def test_command_exits_zero_with_its_status(line_runs, cmd):
         # only the commands that price the plan write economics rows
         rows = (out / "economics.csv").read_text().splitlines()[1:]
         assert bool(rows) == (cmd in ("economics", "run"))
+        # every command that sized a plan reports its final gap
+        assert ("plan_gap" in summary) == (cmd not in ("vva", "stat"))
+        if cmd == "run":
+            assert 0.0 <= summary["plan_gap"] < math.inf
         if STATUS[cmd] == "pass":
             with open(out / "voltage_summary.csv", newline="") as fh:
                 after = [r for r in csv.DictReader(fh)
@@ -237,17 +244,21 @@ def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
     assert not (tmp_path / "out").exists()
 
 
-def test_unfixable_violations_exit_three(line_inputs, tmp_path, capsys):
+@pytest.mark.parametrize("e_max_kwh", [0.1, 1.0, 10.0, 30.0])
+def test_unfixable_violations_exit_three(line_inputs, tmp_path, capsys,
+                                         e_max_kwh):
     doc = json.loads((line_inputs / "config.json").read_text())
-    # the evening peak needs tens of kWh at the far end; the node cap
-    # keeps a solve that cannot prove this from running long
-    doc["bess"] = {"e_max_kwh": 0.1}
+    # the evening peak needs more than 30 kWh at the far end; the node
+    # cap keeps a sizing solve that cannot prove this from running long,
+    # whether it ends infeasible or without an incumbent
+    doc["bess"] = {"e_max_kwh": e_max_kwh}
     doc["solver"] = {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 2}
     path = line_inputs / "small_bess.json"
     path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(path), "--out",
                  str(tmp_path / "out"), "--seed", "3"]) == 3
-    assert "[plan] violations cannot be fixed" in capsys.readouterr().err
+    assert "[plan] violations cannot be fixed within the capacity caps; " \
+        "binding hours: [17, 18, 19]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

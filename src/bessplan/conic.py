@@ -26,6 +26,8 @@ class SolverConfig:
     feas_tol: float = 1e-8
     cone_tol: float = 1e-8
     mip_gap: float = 0.001
+    # relaxations branch-and-bound may solve, the root included; the
+    # heuristic and incumbent solves do not count
     node_limit: int = 20000
     max_iters: int = 100  # interior-point iterations per solve
     int_tol: float = 1e-6  # integrality tolerance on binaries
@@ -342,9 +344,15 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
 
     Best-bound node selection; branches on the most fractional binary,
     ties to the lowest declaration index. Stops at relative gap
-    <= cfg.mip_gap (optimal) or at the node limit (gap-limit). A search
-    that stops before any integer solution, a root relaxation without a
-    point too, reports no-incumbent with an empty x and an infinite gap.
+    <= cfg.mip_gap (optimal) or at the node limit (gap-limit). A node
+    whose two children would bring the count to cfg.node_limit is not
+    expanded: the search would stop before examining either child, so
+    they could not yield an incumbent, only a tighter bound. The gap is
+    measured against the bound of the node the search stopped at; at
+    node_limit 2 that is the root, after the root and one heuristic
+    solve. A search that stops before any integer solution, a root
+    relaxation without a point too, reports no-incumbent with an empty
+    x and an infinite gap.
 
     If trace is a list, one (node_bound, incumbent_objective) pair is
     appended per processed node; bounds are non-decreasing and incumbent
@@ -433,6 +441,9 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
             if within_gap(bound):
                 stop = bound
                 break
+        if nodes_done + 2 >= cfg.node_limit:
+            stop = bound
+            break
 
         for val in (0.0, 1.0):
             child = dict(fixes)

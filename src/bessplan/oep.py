@@ -9,8 +9,11 @@ the capacity's kvar band, SOC band, hourly energy dynamics with cyclic
 closure at the window ends). plan() solves and audits, and when the
 solve returns no plan tells a window no capacity can fix from a solver
 failure. dispatch_day operates a fixed plan over one day, with the
-voltage limits elastic when it validates; tou_dispatch re-optimizes a
-fixed plan against an hourly tariff, day by day.
+voltage limits elastic when it validates; a day without storage is the
+exact power flow, solved by sweep. certify_day passes a day of the
+sized window on the plan's own schedule and the power flow, without a
+solve. tou_dispatch re-optimizes a fixed plan against an hourly
+tariff, day by day.
 
 Unit conventions: network flows in p.u. on the network bases; storage
 power in kW, energy in kWh; the balance rows carry the kW -> p.u.
@@ -26,7 +29,7 @@ import numpy as np
 from ._parallel import pmap
 from .conic import ConicProgram, SolverConfig, solve_misocp
 from .netmodel import LoadProfileSet, Network
-from .vva import _hour_block, violation_records
+from .vva import PowerFlowError, _hour_block, power_flow, violation_records
 
 # cost of an elastic voltage limit per p.u. of v^2 it gives: far above
 # the loss and tie-break terms, so a day that can hold the limits does
@@ -200,7 +203,8 @@ def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
         cap_coeff({qb: 1.0}, spec.kq_inj)
         cap_coeff({qb: -1.0}, spec.kq_abs)
         prog.add_ineq({uch: 1.0, udis: 1.0}, 1.0)
-        cap_coeff({e: 1.0}, spec.soc_max)
+        if sized:    # at a fixed capacity this is E's own upper bound
+            cap_coeff({e: 1.0}, spec.soc_max)
         cap_coeff({e: -1.0}, -spec.soc_min)
 
         dyn = {e: 1.0, pch: -spec.eta_ch, pdis: 1.0 / spec.eta_dis}
@@ -429,6 +433,61 @@ def residuals(net, profiles, hours, v_sq):
         net.v_upper) if r.severity > VALIDATION_TOL]
 
 
+def _flow_with(net, profiles, hours, p_add=None, q_add=None):
+    """Exact power flow (v_sq, i_sq, P, Q) of the profiles over hours,
+    with p_add/q_add ({bus index: (H,) kW}) added to the net load.
+
+    Raises PowerFlowError where the feeder cannot carry that load: the
+    sweep finds no power flow, or a branch current exceeds its cap.
+    """
+    p_kw, q_kvar = profiles.aligned(net)
+    p, q = p_kw[hours].T, q_kvar[hours].T
+    for i, kw in (p_add or {}).items():
+        p[i] += kw
+    for i, kvar in (q_add or {}).items():
+        q[i] += kvar
+    flow = power_flow(net, p, q, [net.slack_v(t) for t in hours])
+    if np.any(flow[1] > net.i_sq_limit[:, None]):    # NaN: no cap
+        raise PowerFlowError("a branch current exceeds its cap")
+    return flow
+
+
+def certify_day(net, profiles, plan_: BessPlan, hours):
+    """v_sq of the day's hours under the plan's own schedule, if that
+    schedule holds the day; else None.
+
+    The day must lie inside plan_.hours with every unit's stored energy
+    at soc_initial * capacity (within AUDIT_TOL) at both ends, so that
+    the audited schedule is a feasible operation of dispatch_day's
+    daily-cyclic program. It holds the day when its exact power flow
+    keeps every voltage within VALIDATION_TOL of the limits and every
+    branch current within its cap.
+    """
+    hours = list(hours)
+    pos = {t: k for k, t in enumerate(plan_.hours)}
+    if not all(t in pos for t in hours):
+        return None
+    ks = [pos[t] for t in hours]
+    p_add, q_add = {}, {}
+    for b in plan_.buses:
+        e = plan_.e_ess_kwh[b]
+        # the end of the previous hour, or the anchor of a run's start
+        start = e[pos[hours[0] - 1]] if hours[0] - 1 in pos \
+            else plan_.e_start_kwh[b]
+        target = plan_.spec.soc_initial * plan_.capacity_kwh[b]
+        if abs(start - target) > AUDIT_TOL or \
+                abs(e[ks[-1]] - target) > AUDIT_TOL:
+            return None
+        i = net.idx[b]
+        p_add[i] = plan_.charge_kw[b][ks] - plan_.discharge_kw[b][ks]
+        q_add[i] = -plan_.q_kvar[b][ks]
+    try:
+        v_sq = _flow_with(net, profiles, hours, p_add, q_add)[0]
+    except PowerFlowError:
+        return None
+    return None if residuals(net, profiles, hours, v_sq) else v_sq
+
+
 @dataclass
 class DayDispatch:
     hours: tuple
@@ -445,14 +504,16 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
 
     Loss-minimizing when prices is None, else minimizes energy cost at
     the slack injection. Cyclic SOC anchored at soc_initial. Buses
-    with zero capacity contribute no variables, so a zero plan is the
-    plain network model.
+    with zero capacity contribute no variables. A day with no unit left
+    has nothing to decide: it returns the exact power flow
+    (vva.power_flow) without a solve, status "optimal".
 
     v_limits (lo, hi) p.u., if given, is elastic: each non-slack
     bus-hour has a slack s >= 0 with v + s/k >= lo^2 and v - s/k <= hi^2,
     k = VIOLATION_PENALTY, at unit cost (k per p.u. of v^2), so idle
     storage is always feasible and the objective keeps its scale. A day
-    infeasible anyway (past a branch current cap) raises PlanError.
+    infeasible anyway (past a branch current cap, or a load the feeder
+    cannot carry) raises PlanError.
     """
     cfg = cfg or _planning_config()
     runs = _segments(hours)
@@ -463,6 +524,8 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
     if hours[-1] >= p_kw.shape[0]:
         raise ValueError("hours not covered by profiles")
     active = {b: c for b, c in capacity_kwh.items() if c > 1e-9}
+    if not active:
+        return _bare_day(net, profiles, hours, prices)
 
     prog = ConicProgram(f"dispatch-{net.name}-{hours[0]}")
     k_pu = net.to_pu_power(1.0)
@@ -511,9 +574,29 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
     if prices is not None:
         cost = sum(float(prices[t]) * 1000.0 * net.s_base_mva *
                    res.x[f"Ps[{t}]"] for t in hours)
-    storage = _collect_dispatch(res, list(active), hours) if active else {}
     return DayDispatch(tuple(hours), res.status, cost, losses_kwh, v_sq,
-                       storage)
+                       _collect_dispatch(res, list(active), hours))
+
+
+def _bare_day(net, profiles, hours, prices):
+    """dispatch_day without storage: the exact power flow, which is the
+    day program's physical answer at either objective and with or
+    without elastic limits, since it leaves nothing to decide."""
+    try:
+        v_sq, i_sq, P, _ = _flow_with(net, profiles, hours)
+    except PowerFlowError as exc:
+        raise PlanError(f"dispatch infeasible on day starting hour "
+                        f"{hours[0]}: {exc}", hours) from exc
+    cost = 0.0
+    if prices is not None:
+        # the slack bus's own load plus the flows leaving it
+        p_kw = profiles.aligned(net)[0]
+        p_slack = net.to_pu_power(p_kw[hours, net.slack]) + \
+            P[net.down[net.slack]].sum(axis=0)
+        cost = sum(float(prices[t]) * 1000.0 * net.s_base_mva * float(ps)
+                   for t, ps in zip(hours, p_slack))
+    losses_kwh = float((net.r @ i_sq).sum()) * 1000.0 * net.s_base_mva
+    return DayDispatch(tuple(hours), "optimal", cost, losses_kwh, v_sq, {})
 
 
 @dataclass

@@ -3,10 +3,12 @@
 The run is staged: screen the full horizon for voltage violations,
 reduce the problem in time (worst stress window) and space (clustered
 candidate buses), size and place storage over the monitored window,
-then validate day by day across the whole horizon, one elastic solve
-per day. A failed validation backtracks by adding the next-ranked
-window and re-planning, up to a round cap. Reports are plain CSV/JSON
-files, byte-stable under a fixed master seed.
+then validate day by day across the whole horizon: a day the plan's
+own schedule holds under the exact power flow passes without a solve,
+every other day takes one elastic solve. A failed validation
+backtracks by adding the next-ranked window and re-planning, up to a
+round cap. Reports are plain CSV/JSON files, byte-stable under a fixed
+master seed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ._parallel import pmap
 from .conic import SolverConfig
 from .netmodel import (LoadProfileSet, NetworkError, load_network)
 from .oep import (BessPlan, BessSpec, PlanError, TouTariff, _day_chunks,
-                  build_toep, dispatch_day, residuals)
+                  build_toep, certify_day, dispatch_day, residuals)
 from .oep import plan as solve_plan
 from .oep import savings_report, tou_dispatch
 from .scenarios import (ScenarioError, detect_events, extract_ev_load,
@@ -224,10 +226,13 @@ class ValidationVerdict:
     """Outcome of one full-horizon validation round.
 
     v_sq carries the validated voltages of every horizon hour for
-    reporting; residuals are the bus-hours more than VALIDATION_TOL
-    outside the limits, and infeasible_days the first hour of each day
-    they fall on, a day the plan cannot hold within the hard limits.
-    monitored lists the planning hours the round's plan was sized on.
+    reporting: on a certified day the exact power flow of the plan's own
+    schedule, on every other day the elastic dispatch's. residuals are
+    the bus-hours more than VALIDATION_TOL outside the limits, and
+    infeasible_days the first hour of each day they fall on, a day the
+    plan cannot hold within the hard limits. certified_days lists the
+    first hour of each day passed without a solve. monitored lists the
+    planning hours the round's plan was sized on.
     """
 
     residuals: tuple          # ViolationRecord beyond VALIDATION_TOL
@@ -235,6 +240,7 @@ class ValidationVerdict:
     round_index: int
     v_sq: np.ndarray          # (n_bus, n_hours)
     monitored: tuple = ()
+    certified_days: tuple = ()
 
     @property
     def passed(self):
@@ -243,27 +249,35 @@ class ValidationVerdict:
 
 def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
                   round_index: int = 0) -> ValidationVerdict:
-    """Re-dispatch the frozen plan day by day over the whole horizon.
+    """Check the frozen plan day by day over the whole horizon.
 
-    Every day is one loss-minimizing operation of the plan's storage
-    (plan_.spec) with daily-cyclic SOC and the network's voltage limits
-    made elastic (see dispatch_day), so only a branch current cap can
-    make a day infeasible (PlanError). The verdict passes iff no voltage
-    ends more than oep.VALIDATION_TOL p.u. outside the limits; the ones
-    that do are the residual records (oep.residuals).
+    A day inside the sized window whose own schedule holds the limits
+    under the exact power flow is certified without a solve
+    (oep.certify_day). Every other day is one loss-minimizing operation
+    of the plan's storage (plan_.spec) with daily-cyclic SOC and the
+    network's voltage limits made elastic (see dispatch_day), so only a
+    branch current cap can make a day infeasible (PlanError), and only
+    this solve can fail a day. The verdict passes iff no voltage ends
+    more than oep.VALIDATION_TOL p.u. outside the limits; the ones that
+    do are the residual records (oep.residuals).
     """
     days = _day_chunks(range(profiles.n_hours))
+    v_day = {d[0]: certify_day(net, profiles, plan_, d) for d in days}
+    certified = tuple(t for t, v in v_day.items() if v is not None)
+    open_days = [d for d in days if v_day[d[0]] is None]
 
     def one(day):
         return dispatch_day(net, profiles, day, plan_.capacity_kwh,
                             plan_.spec, (net.v_lower, net.v_upper), cfg=cfg)
 
-    v_sq = np.hstack([part.v_sq for part in pmap(one, days, threads)])
+    for day, part in zip(open_days, pmap(one, open_days, threads)):
+        v_day[day[0]] = part.v_sq
+    v_sq = np.hstack([v_day[d[0]] for d in days])
     out = tuple(residuals(net, profiles, range(profiles.n_hours), v_sq))
     failed = {r.hour for r in out}
     return ValidationVerdict(
         out, tuple(d[0] for d in days if failed.intersection(d)),
-        round_index, v_sq)
+        round_index, v_sq, certified_days=certified)
 
 
 def backtrack(used, ranked):
@@ -568,6 +582,9 @@ def emit_reports(report: PvmReport, outdir) -> dict:
     if report.plan is not None:
         # relative distance of the sizing incumbent from its bound
         summary["plan_gap"] = report.plan.gap
+    if report.verdicts:
+        # days the final round passed on the plan's own schedule
+        summary["certified_days"] = len(report.verdicts[-1].certified_days)
     with open(out("summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return paths

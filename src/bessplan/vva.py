@@ -6,7 +6,9 @@ with no voltage limits lets violations show up instead of being cut
 off; the rotated-cone relaxation v*l >= P^2 + Q^2 is tight for that
 objective on radial networks, which run_vva verifies after each solve.
 Hours are independent subproblems (nothing couples them here), so a
-year is 8760 small solves instead of one huge one.
+year is 8760 small solves instead of one huge one. power_flow computes
+the same exact radial power flow for many hours at once by
+backward/forward sweep, without a solver.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .netmodel import LoadProfileSet, Network
 
 # cone slack (p.u.) above which a screened branch-hour counts as loose
 LOOSE_CONE_TOL = 1e-6
+# power_flow stops once no squared voltage or current moves more than
+# SWEEP_TOL p.u. in a sweep, and gives up after SWEEP_LIMIT sweeps
+SWEEP_TOL = 1e-13
+SWEEP_LIMIT = 500
 
 
 @dataclass
@@ -120,6 +126,59 @@ def _hour_block(prog, net, p_pu, q_pu, t, vs_sq, v_bounds=None,
                 math.isfinite(net.i_sq_limit[e]):
             prog.add_ineq({L[e]: 1.0}, float(net.i_sq_limit[e]))
     return v, P, Q, L, ps, qs
+
+
+class PowerFlowError(RuntimeError):
+    """The sweep found no power flow: the feeder cannot carry the load."""
+
+
+def power_flow(net: Network, p_kw, q_kvar, v_slack):
+    """Exact radial power flow of every hour at once, by backward/forward
+    sweep; returns (v_sq, i_sq, P, Q) in p.u.
+
+    p_kw, q_kvar are (n_bus, H) net loads and v_slack the (H,) slack
+    voltage magnitudes, p.u. Each sweep sums the loads and the latest
+    losses below every branch (backward), then drops the squared voltage
+    along each path from the slack (forward), until both move less than
+    SWEEP_TOL. This is the loss-minimizing SOCP's optimum whenever that
+    relaxation is exact, as it is on a radial feeder without voltage
+    limits (Farivar & Low, IEEE TPWRS 2013). Raises PowerFlowError when
+    a voltage collapses or the sweep does not settle in SWEEP_LIMIT.
+    """
+    n, m = net.n_bus, net.n_branch
+    p = net.to_pu_power(p_kw)
+    q = net.to_pu_power(q_kvar)
+    vs = np.asarray(v_slack, dtype=float) ** 2
+    # path[j, e] = 1 where branch e lies between the slack and bus j
+    path = np.zeros((n, m))
+    for j in net.order:
+        if j != net.slack:
+            e = net.parent_branch[j]
+            path[j] = path[net.fidx[e]]
+            path[j, e] = 1.0
+    below = path.T              # below[e, j]: bus j lies below branch e
+    sub = below[:, net.tidx]    # sub[e, f]: branch f lies at or below e
+    r, x = net.r[:, None], net.x[:, None]
+    z_sq = r * r + x * x
+    v = np.tile(vs, (n, 1))
+    L = np.zeros((m, vs.size))
+    # a diverging sweep overflows before its voltages turn negative
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(SWEEP_LIMIT):
+            P = below @ p + sub @ (r * L)
+            Q = below @ q + sub @ (x * L)
+            nv = vs - path @ (2.0 * (r * P + x * Q) - z_sq * L)
+            v_from = nv[net.fidx]
+            if not np.all(v_from > 0.0):
+                raise PowerFlowError("power-flow sweep: voltage collapsed")
+            nL = (P * P + Q * Q) / v_from
+            step = max(np.abs(nv - v).max(initial=0.0),
+                       np.abs(nL - L).max(initial=0.0))
+            v, L = nv, nL
+            if step < SWEEP_TOL:
+                return v, L, P, Q
+    raise PowerFlowError(f"power-flow sweep did not converge in "
+                         f"{SWEEP_LIMIT} sweeps")
 
 
 def _extract_hour(net, res, t):

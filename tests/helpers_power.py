@@ -79,20 +79,20 @@ def feeder2(p_kw=600.0, q_kvar=300.0):
                   name="feeder2")
 
 
-def feeder4():
+def feeder4(**extra):
     branches = [(1, 2, 0.015, 0.010), (2, 3, 0.020, 0.012),
                 (3, 4, 0.025, 0.015)]
     loads = {2: (250.0, 120.0), 3: (300.0, 150.0), 4: (220.0, 100.0)}
-    return feeder(4, branches, loads, name="feeder4")
+    return feeder(4, branches, loads, name="feeder4", **extra)
 
 
-def feeder6():
+def feeder6(**extra):
     branches = [(1, 2, 0.012, 0.008), (2, 3, 0.018, 0.011),
                 (3, 4, 0.022, 0.013), (2, 5, 0.016, 0.010),
                 (5, 6, 0.020, 0.012)]
     loads = {2: (180.0, 90.0), 3: (240.0, 110.0), 4: (200.0, 95.0),
              5: (160.0, 80.0), 6: (210.0, 100.0)}
-    return feeder(6, branches, loads, name="feeder6")
+    return feeder(6, branches, loads, name="feeder6", **extra)
 
 
 def profiles_from_rows(net, start, rows):

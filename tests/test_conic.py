@@ -245,6 +245,24 @@ class TestMISOCP:
         exact = enumerate_facility(42, 6)
         assert bound <= exact + 1e-6 and exact <= res.objective + 1e-6
 
+    def test_node_limit_two_stops_after_the_root_and_heuristic(
+            self, monkeypatch):
+        # the root's two children would bring the count to the limit, so
+        # the search would stop before examining either: they are not
+        # solved, and the gap is measured against the root bound
+        prog = make_facility_instance(42, 6)
+        root = solve_relaxation(make_facility_instance(42, 6))
+        real = conic._ipm.conelp
+        calls = []
+        monkeypatch.setattr(conic._ipm, "conelp",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        res = solve_misocp(prog, SolverConfig(mip_gap=1e-6, node_limit=2))
+        assert len(calls) == 2
+        assert res.status == "gap-limit" and res.iterations == 1
+        assert res.gap == (res.objective - root.objective) / \
+            max(1.0, abs(res.objective))
+        assert res.gap > 1e-6
+
     def test_bound_and_incumbent_monotone(self):
         trace = []
         res = solve_misocp(make_facility_instance(42, 6),

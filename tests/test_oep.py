@@ -3,14 +3,19 @@
 The sizing answer is checked against an independent oracle: a greedy
 charge/discharge simulation on the exact sweep power flow, wrapped in a
 1-D search over capacity. Energy dynamics are pinned by hand-computable
-two-hour instances solved through the relaxation only.
+two-hour instances solved through the relaxation only. A day without
+storage and a day validation certifies on the plan's own schedule are
+checked against the sweep oracle, and a spy on dispatch_day shows which
+days still take a solve.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bessplan import pipeline
 from bessplan.conic import ConicProgram, solve_relaxation
 from bessplan.netmodel import LoadProfileSet
 from bessplan.oep import (AuditError, BessPlan, BessSpec, PlanError,
@@ -95,6 +100,17 @@ class TestBuildStructure:
         # z/Ecap gating rows per candidate
         assert len(prog._ineqs) == 24 * 9 + 2
         assert len(prog._cones) == 24
+
+    def test_fixed_capacity_bounds_energy_without_a_row(self):
+        # at a fixed capacity E <= soc_max * cap is E's own upper bound,
+        # so dispatch mode carries one SOC band row per hour, not two
+        spec = BessSpec()
+        prog = ConicProgram("fixed")
+        _storage_block(prog, spec, 2, list(range(24)), 1e-3, 400.0, {}, {},
+                       1)
+        assert len(prog._ineqs) == 24 * 8
+        j = prog._index["E[2,5]"]
+        assert prog._ub[j] == spec.soc_max * 400.0
 
     def test_gapped_window_gets_one_chain_per_run(self):
         net = feeder2()
@@ -382,6 +398,37 @@ class TestDispatchDay:
         assert zero.storage == {}
         assert abs(zero.losses_kwh - bare.losses_kwh) <= 1e-12
 
+    def test_zero_plan_is_the_oracle_power_flow(self):
+        # no unit leaves nothing to decide: voltages, losses and the
+        # slack's cost are the exact power flow's, with or without limits
+        net, profiles = uv_profiles()
+        prices = tou_pattern()
+        p_kw, q_kvar = profiles.aligned(net)
+        for limits in (None, (0.95, 1.05)):
+            out = dispatch_day(net, profiles, range(24), {2: 0.0},
+                               BessSpec(), limits, prices=prices)
+            assert out.status == "optimal" and out.storage == {}
+            cost = losses = 0.0
+            for t in range(24):
+                v, L, _, _ = sweep_power_flow(net, p_kw[t], q_kvar[t])
+                assert np.abs(out.v_sq[:, t] - v).max() <= 1e-10
+                loss = float(net.r @ L) * 1000.0
+                losses += loss
+                cost += prices[t] * (p_kw[t].sum() + loss)
+            assert out.losses_kwh == pytest.approx(losses, rel=1e-12)
+            assert out.cost == pytest.approx(cost, rel=1e-12)
+
+    @pytest.mark.parametrize("net, load", [
+        # past the sweep's voltage collapse
+        (feeder2(), (30000.0, 10000.0)),
+        # past a branch current cap: 100 A is about 1.9 p.u. on these
+        # bases, and 2500 kW draws 2.6
+        (uv_feeder(i_limit_a=100.0), (2500.0, 800.0))])
+    def test_zero_plan_day_the_feeder_cannot_carry(self, net, load):
+        profiles = profiles_from_rows(net, "2024-06-01T00", [{2: load}] * 24)
+        with pytest.raises(PlanError, match="hour 0"):
+            dispatch_day(net, profiles, range(24), {}, BessSpec(), None)
+
     def test_flat_price_flat_load_no_arbitrage(self):
         net = feeder2()
         profiles = flat_profiles(net, 500.0, 200.0)
@@ -538,6 +585,78 @@ def _fixed_plan(spec, cap):
     plan_.capacity_kwh[2] = cap
     plan_.installed[2] = True
     return plan_
+
+
+@pytest.fixture(scope="module")
+def two_peak_days():
+    """uv2 over two days with an evening sag each, and a plan sized on
+    the first day only: (net, profiles, plan)."""
+    net = uv_feeder()
+    profiles = profiles_from_rows(net, "2024-06-01T00",
+                                  uv_rows(peak_hours=(18, 19, 42, 43),
+                                          n_hours=48))
+    return net, profiles, plan(build_toep(net, profiles, range(24), [2],
+                                          BessSpec()))
+
+
+class TestValidatePlan:
+    """A day the plan's own schedule holds needs no dispatch solve."""
+
+    @staticmethod
+    def validate(monkeypatch, net, profiles, plan_):
+        """validate_plan's verdict and the first hour of each day it
+        dispatched."""
+        real = pipeline.dispatch_day
+        calls = []
+
+        def spy(net, profiles, hours, *args, **kwargs):
+            calls.append(list(hours)[0])
+            return real(net, profiles, hours, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "dispatch_day", spy)
+        return pipeline.validate_plan(net, profiles, plan_), calls
+
+    def test_covered_day_is_certified_by_its_schedule(self, monkeypatch,
+                                                      two_peak_days):
+        net, profiles, plan_ = two_peak_days
+        verdict, calls = self.validate(monkeypatch, net, profiles, plan_)
+        assert verdict.passed
+        # day 1 lies outside the sized window: it still needs a solve
+        assert calls == [24] and verdict.certified_days == (0,)
+        p_kw, q_kvar = profiles.aligned(net)
+        for t in range(24):
+            p, q = p_kw[t].copy(), q_kvar[t].copy()
+            p[1] += plan_.charge_kw[2][t] - plan_.discharge_kw[2][t]
+            q[1] -= plan_.q_kvar[2][t]
+            v = sweep_power_flow(net, p, q)[0]
+            assert np.abs(verdict.v_sq[:, t] - v).max() <= 1e-10
+
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_off_target_boundary_energy_is_dispatched(self, monkeypatch,
+                                                      two_peak_days, end):
+        net, profiles, plan_ = two_peak_days
+        if end == "start":
+            moved = replace(plan_, e_start_kwh={
+                2: plan_.e_start_kwh[2] + 1e-3})
+        else:
+            e = plan_.e_ess_kwh[2].copy()
+            e[23] += 1e-3
+            moved = replace(plan_, e_ess_kwh={2: e})
+        verdict, calls = self.validate(monkeypatch, net, profiles, moved)
+        assert verdict.passed
+        assert calls == [0, 24] and verdict.certified_days == ()
+
+    def test_violating_replay_is_dispatched(self, monkeypatch,
+                                            two_peak_days):
+        # an idle schedule leaves the sag: only the day solve can pass it
+        net, profiles, plan_ = two_peak_days
+        zero = np.zeros(24)
+        idle = replace(plan_, charge_kw={2: zero}, discharge_kw={2: zero},
+                       q_kvar={2: zero},
+                       e_ess_kwh={2: np.full(24, plan_.e_start_kwh[2])})
+        verdict, calls = self.validate(monkeypatch, net, profiles, idle)
+        assert verdict.passed
+        assert calls == [0, 24] and verdict.certified_days == ()
 
 
 class TestSavingsReport:

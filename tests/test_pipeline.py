@@ -14,8 +14,10 @@ VALIDATION_TOL. An unknown config key exits 2; a storage cap far below
 what the peak needs, or a node limit that stops sizing before any
 integer solution, exits 3 from the plan stage; the first names the
 hours no capacity can fix. Every command that sized a plan writes its
-final gap to summary.json as plan_gap. A plan sized on a short
-sag that fails validation on a longer one exits 1.
+final gap to summary.json as plan_gap, and every one that validated it
+the number of days its own schedule certified as certified_days. A
+plan sized on a short sag that fails validation on a longer one exits
+1.
 """
 
 import csv
@@ -194,10 +196,14 @@ def test_command_exits_zero_with_its_status(line_runs, cmd):
         # only the commands that price the plan write economics rows
         rows = (out / "economics.csv").read_text().splitlines()[1:]
         assert bool(rows) == (cmd in ("economics", "run"))
-        # every command that sized a plan reports its final gap
+        # every command that sized a plan reports its final gap, and
+        # every one that validated it the days its schedule certified
         assert ("plan_gap" in summary) == (cmd not in ("vva", "stat"))
+        assert ("certified_days" in summary) == \
+            (cmd in ("validate", "economics", "run"))
         if cmd == "run":
             assert 0.0 <= summary["plan_gap"] < math.inf
+            assert summary["certified_days"] == 1
         if STATUS[cmd] == "pass":
             with open(out / "voltage_summary.csv", newline="") as fh:
                 after = [r for r in csv.DictReader(fh)

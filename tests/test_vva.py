@@ -1,14 +1,20 @@
-"""Screening model tests against an independent sweep power-flow oracle."""
+"""Screening model tests against an independent sweep power-flow oracle.
 
+The vectorized sweep in the package (power_flow) is checked against the
+same oracle and against the screening solve.
+"""
+
+import json
 import math
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from bessplan.netmodel import LoadProfileSet, load_bundled
-from bessplan.vva import (FlowSolution, _hour_block, detect_violations,
-                          node_stats, run_vva)
+from bessplan.netmodel import LoadProfileSet, load_bundled, load_network
+from bessplan.vva import (FlowSolution, PowerFlowError, _hour_block,
+                          detect_violations, node_stats, power_flow, run_vva)
 from bessplan.conic import ConicProgram, solve_relaxation
 from helpers_power import (feeder2, feeder4, feeder6, profiles_from_rows,
                            sweep_power_flow)
@@ -144,6 +150,53 @@ class TestOracleEquivalence:
         volts = sol.voltage()[:, 0]
         assert volts.argmin() == i18
         assert abs(volts[i18] - 0.9131) <= 5e-4
+
+
+# a slack-voltage schedule over the four hours of TestPowerFlow
+SLACK_SCHEDULE = [1.0, 1.03, 0.97, 1.05]
+
+
+def ieee33(**extra):
+    doc = json.loads(resources.files("bessplan.data")
+                     .joinpath("ieee33.json").read_text())
+    return load_network({**doc, **extra})
+
+
+def scaled_rows(net, factors):
+    """Per-hour rows of each bus's base load times the hour's factor."""
+    return [{b: (f * net.p_base_kw[i], f * net.q_base_kvar[i])
+             for i, b in enumerate(net.ids) if i != net.slack}
+            for f in factors]
+
+
+class TestPowerFlow:
+    """The vectorized sweep against the per-hour oracle and the SOCP."""
+
+    @pytest.mark.parametrize("make", [feeder4, feeder6, ieee33])
+    def test_matches_oracle_sweep_and_screen(self, make):
+        net = make(slack_voltage_pu=SLACK_SCHEDULE)
+        profiles = profiles_from_rows(net, "2024-06-01T00",
+                                      scaled_rows(net, [1.0, 0.4, 1.3, 0.8]))
+        p_kw, q_kvar = profiles.aligned(net)
+        v, L, P, Q = power_flow(net, p_kw.T, q_kvar.T, SLACK_SCHEDULE)
+        for t in range(4):
+            ref = sweep_power_flow(net, p_kw[t], q_kvar[t], hour=t)
+            for got, want in zip((v, L, P, Q), ref):
+                assert np.max(np.abs(got[:, t] - want)) <= 1e-10
+        sol = run_vva(net, profiles)
+        assert np.max(np.abs(v - sol.v_sq)) <= 1e-6
+        assert np.max(np.abs(L - sol.i_sq)) <= 1e-6
+        assert np.max(np.abs(P - sol.p_flow)) <= 1e-6
+
+    def test_diverging_overloaded_feeder_raises(self):
+        # 30 MW through 0.02 p.u. of resistance on a 1 MVA base is
+        # beyond what any voltage can carry
+        net = feeder2(p_kw=30000.0, q_kvar=10000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PowerFlowError):
+                power_flow(net, net.p_base_kw[:, None],
+                           net.q_base_kvar[:, None], [1.0])
 
 
 class TestViolations:

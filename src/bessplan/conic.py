@@ -343,16 +343,17 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
     """Branch-and-bound on the binary variables over the conic relaxation.
 
     Best-bound node selection; branches on the most fractional binary,
-    ties to the lowest declaration index. Stops at relative gap
-    <= cfg.mip_gap (optimal) or at the node limit (gap-limit). A node
-    whose two children would bring the count to cfg.node_limit is not
-    expanded: the search would stop before examining either child, so
-    they could not yield an incumbent, only a tighter bound. The gap is
-    measured against the bound of the node the search stopped at; at
-    node_limit 2 that is the root, after the root and one heuristic
-    solve. A search that stops before any integer solution, a root
-    relaxation without a point too, reports no-incumbent with an empty
-    x and an infinite gap.
+    ties to the lowest declaration index. The rounding heuristic
+    (_heuristic_fixes) runs once, on the root relaxation. Stops at
+    relative gap <= cfg.mip_gap (optimal) or at the node limit
+    (gap-limit). A node whose two children would bring the count to
+    cfg.node_limit is not expanded: the search would stop before
+    examining either child, so they could not yield an incumbent, only a
+    tighter bound. The gap is measured against the bound of the node the
+    search stopped at; at node_limit 2 that is the root, after the root
+    and one heuristic solve. A search that stops before any integer
+    solution, a root relaxation without a point too, reports
+    no-incumbent with an empty x and an infinite gap.
 
     If trace is a list, one (node_bound, incumbent_objective) pair is
     appended per processed node; bounds are non-decreasing and incumbent
@@ -436,7 +437,7 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
             try_incumbent(full)
             continue
 
-        if nodes_done == 1 or nodes_done % 10 == 0:
+        if nodes_done == 1:    # the root
             try_incumbent(_heuristic_fixes(prog, xv, cfg.int_tol))
             if within_gap(bound):
                 stop = bound

@@ -6,14 +6,16 @@ physics per hour with hard voltage limits, plus per-candidate storage
 blocks (capacity gating, charge and discharge gated by mode binaries
 through a computed big-M constant, one signed reactive output within
 the capacity's kvar band, SOC band, hourly energy dynamics with cyclic
-closure at the window ends). plan() solves and audits, and when the
-solve returns no plan tells a window no capacity can fix from a solver
-failure. dispatch_day operates a fixed plan over one day, with the
-voltage limits elastic when it validates; a day without storage is the
-exact power flow, solved by sweep. certify_day passes a day of the
-sized window on the plan's own schedule and the power flow, without a
-solve. tou_dispatch re-optimizes a fixed plan against an hourly
-tariff, day by day.
+closure at the window ends). plan() solves it by branch-and-bound, the
+only mixed-integer solve here, audits the result, and when the solve
+returns no plan tells a window no capacity can fix from a solver
+failure. dispatch_day operates a fixed plan over one day by one convex
+solve, with no mode binaries and the voltage limits elastic when it
+validates, and reports the exact power flow (by sweep) of the netted
+schedule; a day without storage is that power flow alone.
+certify_day passes a day of the sized window on the plan's own
+schedule and the power flow, without a solve. tou_dispatch
+re-optimizes a fixed plan against an hourly tariff, day by day.
 
 Unit conventions: network flows in p.u. on the network bases; storage
 power in kW, energy in kWh; the balance rows carry the kW -> p.u.
@@ -27,12 +29,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._parallel import pmap
-from .conic import ConicProgram, SolverConfig, solve_misocp
+from .conic import (ConicProgram, SolverConfig, solve_misocp,
+                    solve_relaxation)
 from .netmodel import LoadProfileSet, Network
 from .vva import PowerFlowError, _hour_block, power_flow, violation_records
 
 # cost of an elastic voltage limit per p.u. of v^2 it gives: far above
-# the loss and tie-break terms, so a day that can hold the limits does
+# the loss terms, so a day that can hold the limits does
 VIOLATION_PENALTY = 100.0
 # tolerance (kWh, kW, kvar) of the physical plan audit
 AUDIT_TOL = 1e-6
@@ -171,6 +174,8 @@ def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
 
     cap_name is either the Ecap variable name (sizing mode) or a float
     frozen capacity (dispatch mode). Returns the E-chain var names.
+    Only sizing gates charge and discharge by the mode binaries
+    uch/udis: dispatch_day nets its relaxed schedule instead.
     """
     m_act = spec.big_m_active()
     sized = isinstance(cap_name, str)
@@ -190,20 +195,24 @@ def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
         pch = prog.add_var(f"Pch[{bus},{t}]", lb=0.0, ub=m_act)
         pdis = prog.add_var(f"Pdis[{bus},{t}]", lb=0.0, ub=m_act)
         qb = prog.add_var(f"Qb[{bus},{t}]")    # the capacity rows bound it
-        uch = prog.add_var(f"uch[{bus},{t}]", binary=True)
-        udis = prog.add_var(f"udis[{bus},{t}]", binary=True)
+        if sized:
+            uch = prog.add_var(f"uch[{bus},{t}]", binary=True)
+            udis = prog.add_var(f"udis[{bus},{t}]", binary=True)
         e = prog.add_var(f"E[{bus},{t}]", lb=0.0,
                          ub=spec.soc_max * cap_ub)
         e_names.append(e)
 
         cap_coeff({pch: 1.0}, spec.c_rate_ch)
-        prog.add_ineq({pch: 1.0, uch: -m_act}, 0.0)
+        if sized:
+            prog.add_ineq({pch: 1.0, uch: -m_act}, 0.0)
         cap_coeff({pdis: 1.0}, spec.c_rate_dis)
-        prog.add_ineq({pdis: 1.0, udis: -m_act}, 0.0)
+        if sized:
+            prog.add_ineq({pdis: 1.0, udis: -m_act}, 0.0)
         cap_coeff({qb: 1.0}, spec.kq_inj)
         cap_coeff({qb: -1.0}, spec.kq_abs)
-        prog.add_ineq({uch: 1.0, udis: 1.0}, 1.0)
-        if sized:    # at a fixed capacity this is E's own upper bound
+        if sized:
+            prog.add_ineq({uch: 1.0, udis: 1.0}, 1.0)
+            # at a fixed capacity this is E's own upper bound
             cap_coeff({e: 1.0}, spec.soc_max)
         cap_coeff({e: -1.0}, -spec.soc_min)
 
@@ -233,7 +242,8 @@ def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
 
 
 def _anchor_binaries(prog, obj):
-    """Add a tiny tie-break cost to every binary in the program.
+    """Add a tiny tie-break cost to every binary of a sizing program
+    (the only programs that declare binaries).
 
     Commitment binaries otherwise carry zero cost, so the relaxation has
     a flat optimal face (any z in [Ecap/Emax, 1] is optimal, same for
@@ -491,7 +501,7 @@ def certify_day(net, profiles, plan_: BessPlan, hours):
 @dataclass
 class DayDispatch:
     hours: tuple
-    status: str               # the day solve's: optimal | gap-limit
+    status: str               # "optimal"; a day that fails raises
     cost: float               # $ under the day's prices (0 for loss runs)
     losses_kwh: float
     v_sq: np.ndarray          # (n_bus, len(hours))
@@ -503,10 +513,22 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
     """Operate fixed storage over one contiguous hour run.
 
     Loss-minimizing when prices is None, else minimizes energy cost at
-    the slack injection. Cyclic SOC anchored at soc_initial. Buses
-    with zero capacity contribute no variables. A day with no unit left
-    has nothing to decide: it returns the exact power flow
-    (vva.power_flow) without a solve, status "optimal".
+    the slack injection. Cyclic SOC anchored at soc_initial. Only the
+    installed units (capacity above AUDIT_TOL) get variables.
+
+    The day is one convex solve: the program declares no mode binary.
+    Each hour of the relaxed schedule is then netted at unchanged stored
+    energy: with dE = eta_ch * Pch - Pdis / eta_dis, Pch becomes
+    max(dE, 0) / eta_ch and Pdis max(-dE, 0) * eta_dis. The netted
+    schedule keeps every stored energy, meets every rate and reactive
+    row, and only lowers the load, so with prices >= 0 it also reaches
+    the relaxation's bound: charge/discharge exclusion costs nothing and
+    needs no binaries or branching (Li, Guo, Sun & Wang, IEEE TPWRS
+    2016). Voltages, losses and cost are the exact radial power flow of
+    that schedule (Farivar & Low, IEEE TPWRS 2013), the same tail as a
+    day with no unit, which takes no solve. So they hold even where the
+    relaxation's cones are loose, as in free hours, whose losses carry
+    no price.
 
     v_limits (lo, hi) p.u., if given, is elastic: each non-slack
     bus-hour has a slack s >= 0 with v + s/k >= lo^2 and v - s/k <= hi^2,
@@ -523,9 +545,9 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
     p_kw, q_kvar = profiles.aligned(net)
     if hours[-1] >= p_kw.shape[0]:
         raise ValueError("hours not covered by profiles")
-    active = {b: c for b, c in capacity_kwh.items() if c > 1e-9}
+    active = {b: c for b, c in capacity_kwh.items() if c > AUDIT_TOL}
     if not active:
-        return _bare_day(net, profiles, hours, prices)
+        return _flow_day(net, profiles, hours, prices, {})
 
     prog = ConicProgram(f"dispatch-{net.name}-{hours[0]}")
     k_pu = net.to_pu_power(1.0)
@@ -535,7 +557,6 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
         _storage_block(prog, spec, b, hours, k_pu, float(cap), p_extra,
                        q_extra, net.idx[b])
     obj = {}
-    slacks = []
     unit = 1.0 / VIOLATION_PENALTY    # v^2 bought by one unit of slack
     for t in hours:
         v = _hour_block(prog, net, net.to_pu_power(p_kw[t]),
@@ -547,7 +568,7 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
                     s = prog.add_var(f"s[{i},{t}]", lb=0.0)
                     prog.add_ineq({v[i]: -1.0, s: -unit}, -v_limits[0] ** 2)
                     prog.add_ineq({v[i]: 1.0, s: -unit}, v_limits[1] ** 2)
-                    slacks.append(s)
+                    obj[s] = 1.0
         if prices is None:
             for e in range(net.n_branch):
                 name = f"l[{e},{t}]"
@@ -555,35 +576,34 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
         else:
             # $ per hour = price ($/kWh) * slack injection (kW) * 1 h
             obj[f"Ps[{t}]"] = float(prices[t]) * 1000.0 * net.s_base_mva
-    _anchor_binaries(prog, obj)
-    obj.update(dict.fromkeys(slacks, 1.0))
     prog.minimize(obj)
 
-    res = solve_misocp(prog, cfg)
+    res = solve_relaxation(prog, cfg)
     if res.status == "infeasible":
         raise PlanError(f"dispatch infeasible on day starting hour "
                         f"{hours[0]}", hours)
-    if res.status not in ("optimal", "gap-limit"):
+    if res.status != "optimal":
         raise RuntimeError(f"dispatch solve failed: {res.status}")
-    v_sq = np.array([[res.x[f"v[{i},{t}]"] for t in hours]
-                     for i in range(net.n_bus)])
-    losses_pu = sum(net.r[e] * res.x[f"l[{e},{t}]"]
-                    for e in range(net.n_branch) for t in hours)
-    losses_kwh = losses_pu * 1000.0 * net.s_base_mva
-    cost = 0.0
-    if prices is not None:
-        cost = sum(float(prices[t]) * 1000.0 * net.s_base_mva *
-                   res.x[f"Ps[{t}]"] for t in hours)
-    return DayDispatch(tuple(hours), res.status, cost, losses_kwh, v_sq,
-                       _collect_dispatch(res, list(active), hours))
+    storage = _collect_dispatch(res, list(active), hours)
+    for b in active:
+        de = spec.eta_ch * storage["charge_kw"][b] - \
+            storage["discharge_kw"][b] / spec.eta_dis
+        storage["charge_kw"][b] = np.maximum(de, 0.0) / spec.eta_ch
+        storage["discharge_kw"][b] = np.maximum(-de, 0.0) * spec.eta_dis
+    return _flow_day(net, profiles, hours, prices, storage)
 
 
-def _bare_day(net, profiles, hours, prices):
-    """dispatch_day without storage: the exact power flow, which is the
-    day program's physical answer at either objective and with or
-    without elastic limits, since it leaves nothing to decide."""
+def _flow_day(net, profiles, hours, prices, storage):
+    """The DayDispatch of a fixed storage schedule (dispatch_day's
+    storage dict, {} for none): its exact power flow, losses and cost
+    at the slack injection."""
+    p_add, q_add = {}, {}
+    for b in storage.get("charge_kw", {}):
+        i = net.idx[b]
+        p_add[i] = storage["charge_kw"][b] - storage["discharge_kw"][b]
+        q_add[i] = -storage["q_kvar"][b]
     try:
-        v_sq, i_sq, P, _ = _flow_with(net, profiles, hours)
+        v_sq, i_sq, P, _ = _flow_with(net, profiles, hours, p_add, q_add)
     except PowerFlowError as exc:
         raise PlanError(f"dispatch infeasible on day starting hour "
                         f"{hours[0]}: {exc}", hours) from exc
@@ -596,7 +616,8 @@ def _bare_day(net, profiles, hours, prices):
         cost = sum(float(prices[t]) * 1000.0 * net.s_base_mva * float(ps)
                    for t, ps in zip(hours, p_slack))
     losses_kwh = float((net.r @ i_sq).sum()) * 1000.0 * net.s_base_mva
-    return DayDispatch(tuple(hours), "optimal", cost, losses_kwh, v_sq, {})
+    return DayDispatch(tuple(hours), "optimal", cost, losses_kwh, v_sq,
+                       storage)
 
 
 @dataclass

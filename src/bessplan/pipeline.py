@@ -5,10 +5,11 @@ reduce the problem in time (worst stress window) and space (clustered
 candidate buses), size and place storage over the monitored window,
 then validate day by day across the whole horizon: a day the plan's
 own schedule holds under the exact power flow passes without a solve,
-every other day takes one elastic solve. A failed validation
-backtracks by adding the next-ranked window and re-planning, up to a
-round cap. Reports are plain CSV/JSON files, byte-stable under a fixed
-master seed.
+every other day takes one elastic convex solve and is judged on the
+exact power flow of the schedule it returns; branch-and-bound runs in
+sizing alone. A failed validation backtracks by adding the next-ranked
+window and re-planning, up to a round cap. Reports are plain CSV/JSON
+files, byte-stable under a fixed master seed.
 """
 
 from __future__ import annotations
@@ -227,12 +228,13 @@ class ValidationVerdict:
 
     v_sq carries the validated voltages of every horizon hour for
     reporting: on a certified day the exact power flow of the plan's own
-    schedule, on every other day the elastic dispatch's. residuals are
-    the bus-hours more than VALIDATION_TOL outside the limits, and
-    infeasible_days the first hour of each day they fall on, a day the
-    plan cannot hold within the hard limits. certified_days lists the
-    first hour of each day passed without a solve. monitored lists the
-    planning hours the round's plan was sized on.
+    schedule, on every other day that of the elastic dispatch's
+    schedule. residuals are the bus-hours more than VALIDATION_TOL
+    outside the limits, and infeasible_days the first hour of each day
+    they fall on, a day the plan cannot hold within the hard limits.
+    certified_days lists the first hour of each day passed without a
+    solve. monitored lists the planning hours the round's plan was sized
+    on.
     """
 
     residuals: tuple          # ViolationRecord beyond VALIDATION_TOL
@@ -255,11 +257,13 @@ def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
     under the exact power flow is certified without a solve
     (oep.certify_day). Every other day is one loss-minimizing operation
     of the plan's storage (plan_.spec) with daily-cyclic SOC and the
-    network's voltage limits made elastic (see dispatch_day), so only a
-    branch current cap can make a day infeasible (PlanError), and only
-    this solve can fail a day. The verdict passes iff no voltage ends
-    more than oep.VALIDATION_TOL p.u. outside the limits; the ones that
-    do are the residual records (oep.residuals).
+    network's voltage limits made elastic: one convex solve, with no
+    mode binaries, whose netted schedule's exact power flow gives the
+    day's voltages (see dispatch_day). So only a branch current cap or
+    a load the feeder cannot carry makes a day infeasible (PlanError),
+    and only this dispatch can fail a day. The verdict passes iff no
+    voltage ends more than oep.VALIDATION_TOL p.u. outside the limits;
+    the ones that do are the residual records (oep.residuals).
     """
     days = _day_chunks(range(profiles.n_hours))
     v_day = {d[0]: certify_day(net, profiles, plan_, d) for d in days}

@@ -4,9 +4,9 @@ The sizing answer is checked against an independent oracle: a greedy
 charge/discharge simulation on the exact sweep power flow, wrapped in a
 1-D search over capacity. Energy dynamics are pinned by hand-computable
 two-hour instances solved through the relaxation only. A day without
-storage and a day validation certifies on the plan's own schedule are
-checked against the sweep oracle, and a spy on dispatch_day shows which
-days still take a solve.
+storage, a dispatched day's schedule and a day validation certifies on
+the plan's own schedule are checked against the sweep oracle, and a spy
+on dispatch_day shows which days still take a solve.
 """
 
 import math
@@ -18,9 +18,10 @@ import pytest
 from bessplan import pipeline
 from bessplan.conic import ConicProgram, solve_relaxation
 from bessplan.netmodel import LoadProfileSet
-from bessplan.oep import (AuditError, BessPlan, BessSpec, PlanError,
-                          TouTariff, _storage_block, audit_plan, build_toep,
-                          dispatch_day, plan, savings_report, tou_dispatch)
+from bessplan.oep import (AUDIT_TOL, VALIDATION_TOL, AuditError, BessPlan,
+                          BessSpec, PlanError, TouTariff, _storage_block,
+                          audit_plan, build_toep, dispatch_day, plan,
+                          savings_report, tou_dispatch)
 from helpers_power import (feeder, feeder2, profiles_from_rows,
                            sweep_power_flow)
 
@@ -103,12 +104,15 @@ class TestBuildStructure:
 
     def test_fixed_capacity_bounds_energy_without_a_row(self):
         # at a fixed capacity E <= soc_max * cap is E's own upper bound,
-        # so dispatch mode carries one SOC band row per hour, not two
+        # so dispatch mode carries one SOC band row per hour, not two;
+        # and it has no mode binaries, so no gates and no exclusion row:
+        # per hour 4 capacity couplings + 1 SOC band row
         spec = BessSpec()
         prog = ConicProgram("fixed")
         _storage_block(prog, spec, 2, list(range(24)), 1e-3, 400.0, {}, {},
                        1)
-        assert len(prog._ineqs) == 24 * 8
+        assert len(prog._ineqs) == 24 * 5
+        assert prog.binaries == ()
         j = prog._index["E[2,5]"]
         assert prog._ub[j] == spec.soc_max * 400.0
 
@@ -150,7 +154,7 @@ def pinned_block(spec, pins, cap=400.0, hours=(0, 1)):
     _storage_block(prog, spec, 2, list(hours), 1e-3, float(cap), {}, {}, 1)
     for name, val in pins.items():
         prog.add_eq({name: 1.0}, val)
-    prog.minimize({name: 1.0 for name in prog.binaries})
+    prog.minimize({})    # the pins and the cyclic closure fix every value
     res = solve_relaxation(prog)
     assert res.status == "optimal"
     return res
@@ -388,6 +392,24 @@ def tou_pattern():
     return prices
 
 
+def schedule_flow(net, profiles, out):
+    """Oracle power flow of a DayDispatch's storage schedule over its
+    hours: (v_sq, i_sq, slack injection in p.u.), hours as columns."""
+    p_kw, q_kvar = profiles.aligned(net)
+    cols = []
+    for k, t in enumerate(out.hours):
+        p, q = p_kw[t].copy(), q_kvar[t].copy()
+        for b in out.storage.get("charge_kw", {}):
+            i = net.idx[b]
+            p[i] += out.storage["charge_kw"][b][k] - \
+                out.storage["discharge_kw"][b][k]
+            q[i] -= out.storage["q_kvar"][b][k]
+        v, L, _, _ = sweep_power_flow(net, p, q, hour=t)
+        cols.append((v, L, net.to_pu_power(p.sum()) + float(net.r @ L)))
+    v_sq, i_sq, p_slack = zip(*cols)
+    return np.array(v_sq).T, np.array(i_sq).T, np.array(p_slack)
+
+
 class TestDispatchDay:
     def test_zero_capacity_is_plain_network(self):
         net = feeder2()
@@ -506,6 +528,57 @@ class TestDispatchDay:
         held = dispatch_day(net, profiles, range(24), caps, spec,
                             (0.95, 1.05))
         assert math.sqrt(held.v_sq[1].min()) >= 0.95 - 5e-7
+
+    @pytest.mark.parametrize("free_hours", [range(6), range(24)])
+    def test_free_hours_report_the_schedules_own_losses(self, free_hours):
+        # in a free hour losses carry no price, so the day program's
+        # cones go loose there; the day still reports the exact power
+        # flow of the schedule it returns
+        net = feeder2()
+        profiles = peaked_profiles(net)
+        prices = tou_pattern()
+        prices[list(free_hours)] = 0.0
+        out = dispatch_day(net, profiles, range(24), {2: 400.0}, BessSpec(),
+                           None, prices=prices)
+        v_sq, i_sq, p_slack = schedule_flow(net, profiles, out)
+        losses = float((net.r @ i_sq).sum()) * 1000.0
+        assert out.losses_kwh == pytest.approx(losses, rel=1e-9)
+        assert out.cost == pytest.approx(
+            float(prices @ p_slack) * 1000.0, rel=1e-9, abs=1e-9)
+        assert np.abs(out.v_sq - v_sq).max() <= 1e-10
+
+    @pytest.mark.parametrize("limits", [None, (0.95, 1.05)])
+    def test_schedule_is_complementary_and_replays(self, limits):
+        # a priced day, and an elastic-limit day that must lift the sag
+        net, profiles = uv_profiles()
+        spec = BessSpec()
+        prices = tou_pattern() if limits is None else None
+        out = dispatch_day(net, profiles, range(24), {2: 600.0}, spec,
+                           limits, prices=prices)
+        ch, dis = out.storage["charge_kw"][2], out.storage["discharge_kw"][2]
+        e_kwh = out.storage["e_ess_kwh"][2]
+        assert np.minimum(ch, dis).max() == 0.0
+        assert dis.max() > 1.0
+        e = e0 = spec.soc_initial * 600.0
+        for k in range(24):
+            e = e + ch[k] * spec.eta_ch - dis[k] / spec.eta_dis
+            assert abs(e - e_kwh[k]) <= AUDIT_TOL
+        assert abs(e - e0) <= AUDIT_TOL
+        if limits is not None:
+            assert math.sqrt(out.v_sq[1].min()) >= 0.95 - VALIDATION_TOL
+
+    def test_binding_branch_cap_holds_under_the_power_flow(self):
+        # the cheap night hours charge up to the 60 A cap (1.31 p.u. of
+        # current squared), which the schedule's power flow must hold
+        net = uv_feeder(i_limit_a=60.0)
+        profiles = profiles_from_rows(net, "2024-06-01T00",
+                                      [{2: (1000.0, 400.0)}] * 24)
+        out = dispatch_day(net, profiles, range(24), {2: 2000.0},
+                           BessSpec(), None, prices=tou_pattern())
+        i_sq = schedule_flow(net, profiles, out)[1][0]
+        cap = net.i_sq_limit[0]
+        assert np.count_nonzero(i_sq > cap * (1.0 - 1e-6)) >= 8
+        assert i_sq.max() <= cap
 
 
 class TestTouDispatch:

@@ -320,22 +320,8 @@ def solve_relaxation(prog: ConicProgram, cfg: SolverConfig | None = None) \
 
 
 def _heuristic_fixes(prog, relax_x, int_tol):
-    """Round binaries up from any strictly positive relaxation value, then
-    repair violated all-binary packing rows by keeping the largest
-    relaxation value (ties to the lowest declaration index)."""
-    binset = set(prog._binary)
-    fixes = {j: (1.0 if relax_x[j] > int_tol else 0.0) for j in prog._binary}
-    for coeffs, rhs in prog._ineqs:
-        sup = list(coeffs)
-        if not sup or any(j not in binset or coeffs[j] <= 0 for j in sup):
-            continue
-        if sum(coeffs[j] * fixes[j] for j in sup) <= rhs + 1e-12:
-            continue
-        keep = max(sup, key=lambda j: (relax_x[j], -j))
-        for j in sup:
-            if j != keep:
-                fixes[j] = 0.0
-    return fixes
+    """Round binaries up from any strictly positive relaxation value."""
+    return {j: (1.0 if relax_x[j] > int_tol else 0.0) for j in prog._binary}
 
 
 def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
@@ -353,7 +339,9 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
     search stopped at; at node_limit 2 that is the root, after the root
     and one heuristic solve. A search that stops before any integer
     solution, a root relaxation without a point too, reports
-    no-incumbent with an empty x and an infinite gap.
+    no-incumbent with an empty x and an infinite gap. A program without
+    binaries is its root relaxation, solved once: a root that does not
+    end optimal reports its own status, with an empty x.
 
     If trace is a list, one (node_bound, incumbent_objective) pair is
     appended per processed node; bounds are non-decreasing and incumbent
@@ -391,8 +379,10 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
         return SolveResult("infeasible", math.inf, {}, math.inf, math.inf, 1)
     if status == "unbounded":
         return SolveResult("unbounded", -math.inf, {}, math.inf, math.nan, 1)
-    if not binaries and status == "optimal":
-        # nothing to branch on: the root is the answer
+    if not binaries:
+        # nothing to branch on: the root is the answer, or there is none
+        if status != "optimal":
+            return SolveResult(status, math.inf, {}, math.inf, math.inf, 1)
         if trace is not None:
             trace.append((obj, math.inf))
         xs = names_of(xv)

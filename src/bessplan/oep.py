@@ -1,18 +1,19 @@
 """Targeted storage expansion planning and dispatch on radial feeders.
 
 build_toep assembles the capital-cost-minimizing sizing/placement
-MISOCP over a reduced hour window and candidate-bus set: branch-flow
+program over a reduced hour window and candidate-bus set: branch-flow
 physics per hour with hard voltage limits, plus per-candidate storage
-blocks (capacity gating, charge and discharge gated by mode binaries
-through a computed big-M constant, one signed reactive output within
-the capacity's kvar band, SOC band, hourly energy dynamics with cyclic
-closure at the window ends). plan() solves it by branch-and-bound, the
-only mixed-integer solve here, audits the result, and when the solve
-returns no plan tells a window no capacity can fix from a solver
-failure. dispatch_day operates a fixed plan over one day by one convex
-solve, with no mode binaries and the voltage limits elastic when it
-validates, and reports the exact power flow (by sweep) of the netted
-schedule; a day without storage is that power flow alone.
+blocks (charge, discharge and one signed reactive output within the
+capacity's rate and kvar bands, SOC band, hourly energy dynamics with
+daily-cyclic closure). Its only binaries are the per-candidate
+installation flags z of a minimum unit size e_min_kwh > 0; without one
+sizing is a single convex solve. plan() solves it (by branch-and-bound
+when there are flags, the only mixed-integer solve here), nets and
+audits the result, and when the solve returns no plan tells a window no
+capacity can fix from a solver failure. dispatch_day operates a fixed
+plan over one day by one convex solve, with the voltage limits elastic
+when it validates, and reports the exact power flow (by sweep) of the
+netted schedule; a day without storage is that power flow alone.
 certify_day passes a day of the sized window on the plan's own
 schedule and the power flow, without a solve. tou_dispatch
 re-optimizes a fixed plan against an hourly tariff, day by day.
@@ -86,10 +87,6 @@ class BessSpec:
                      self.kq_abs, self.c_cap_per_kwh):
             if rate < 0:
                 raise ValueError("rates and costs must be >= 0")
-
-    def big_m_active(self):
-        """kW cap decoupled from any particular solution."""
-        return max(self.c_rate_ch, self.c_rate_dis) * self.e_max_kwh
 
 
 @dataclass
@@ -174,10 +171,10 @@ def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
 
     cap_name is either the Ecap variable name (sizing mode) or a float
     frozen capacity (dispatch mode). Returns the E-chain var names.
-    Only sizing gates charge and discharge by the mode binaries
-    uch/udis: dispatch_day nets its relaxed schedule instead.
+    No binary gates charge and discharge, and no bound repeats a
+    capacity row: the schedule is netted after the solve
+    (_collect_dispatch).
     """
-    m_act = spec.big_m_active()
     sized = isinstance(cap_name, str)
 
     def cap_coeff(coeffs, factor, rhs=0.0):
@@ -190,29 +187,21 @@ def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
 
     e_prev = None
     e_names = []
-    cap_ub = spec.e_max_kwh if sized else cap_name
     for t in hours:
-        pch = prog.add_var(f"Pch[{bus},{t}]", lb=0.0, ub=m_act)
-        pdis = prog.add_var(f"Pdis[{bus},{t}]", lb=0.0, ub=m_act)
+        pch = prog.add_var(f"Pch[{bus},{t}]", lb=0.0)
+        pdis = prog.add_var(f"Pdis[{bus},{t}]", lb=0.0)
         qb = prog.add_var(f"Qb[{bus},{t}]")    # the capacity rows bound it
-        if sized:
-            uch = prog.add_var(f"uch[{bus},{t}]", binary=True)
-            udis = prog.add_var(f"udis[{bus},{t}]", binary=True)
-        e = prog.add_var(f"E[{bus},{t}]", lb=0.0,
-                         ub=spec.soc_max * cap_ub)
+        # the SOC band rows bound E; at a fixed capacity the upper one is
+        # E's own bound
+        e = prog.add_var(f"E[{bus},{t}]",
+                         ub=None if sized else spec.soc_max * cap_name)
         e_names.append(e)
 
         cap_coeff({pch: 1.0}, spec.c_rate_ch)
-        if sized:
-            prog.add_ineq({pch: 1.0, uch: -m_act}, 0.0)
         cap_coeff({pdis: 1.0}, spec.c_rate_dis)
-        if sized:
-            prog.add_ineq({pdis: 1.0, udis: -m_act}, 0.0)
         cap_coeff({qb: 1.0}, spec.kq_inj)
         cap_coeff({qb: -1.0}, spec.kq_abs)
         if sized:
-            prog.add_ineq({uch: 1.0, udis: 1.0}, 1.0)
-            # at a fixed capacity this is E's own upper bound
             cap_coeff({e: 1.0}, spec.soc_max)
         cap_coeff({e: -1.0}, -spec.soc_min)
 
@@ -242,15 +231,15 @@ def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
 
 
 def _anchor_binaries(prog, obj):
-    """Add a tiny tie-break cost to every binary of a sizing program
-    (the only programs that declare binaries).
+    """Add a tiny tie-break cost to every installation flag z of a
+    sizing program (the only binaries any program declares).
 
-    Commitment binaries otherwise carry zero cost, so the relaxation has
-    a flat optimal face (any z in [Ecap/Emax, 1] is optimal, same for
-    the charge/discharge flags) and the interior-point endgame stalls
-    just short of tolerance on that degenerate face. The anchor sits orders of
-    magnitude below the real cost terms, so sizes and dispatch are
-    unaffected; it only makes the relaxed binaries unique.
+    The flags otherwise carry zero cost, so the relaxation has a flat
+    optimal face (any z in [Ecap/Emax, 1] is optimal) and the
+    interior-point endgame stalls just short of tolerance on that
+    degenerate face. The anchor sits orders of magnitude below the real
+    cost terms, so sizes and dispatch are unaffected; it only makes the
+    relaxed flags unique.
     """
     scale = max((abs(v) for v in obj.values()), default=1.0)
     eps = 1e-5 * max(1.0, scale)
@@ -262,9 +251,15 @@ def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
                spec: BessSpec) -> ConicProgram:
     """Sizing/placement program over the given hours and candidate buses.
 
-    hours may contain gaps; each maximal contiguous run carries its own
-    SOC chain, anchored and cyclically closed at soc_initial. Every
-    non-slack bus is held within the network's voltage limits.
+    hours may contain gaps. Each day of it (a block of at most 24
+    contiguous hours, as validation cuts them) carries its own SOC
+    chain, anchored and cyclically closed at soc_initial, so the days
+    share only the investment variables and every day's schedule is a
+    feasible operation of the daily-cyclic dispatch_day. Every non-slack
+    bus is held within the network's voltage limits. A candidate gets
+    an installation flag z only when a unit has a minimum size
+    (spec.e_min_kwh > 0): without one, Ecap <= e_max_kwh * z holds at
+    z = 1 for every Ecap, so the flag could not change the answer.
     """
     candidates = list(candidates)
     if not candidates:
@@ -276,7 +271,7 @@ def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
             raise ValueError("slack bus cannot host storage")
     if len(set(candidates)) != len(candidates):
         raise ValueError("duplicate candidate buses")
-    runs = _segments(hours)
+    runs = _day_chunks(hours)
     flat_hours = [t for run in runs for t in run]
     p_kw, q_kvar = profiles.aligned(net)
     if flat_hours[-1] >= p_kw.shape[0] or flat_hours[0] < 0:
@@ -287,10 +282,11 @@ def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
     obj = {}
     caps = {}
     for b in candidates:
-        z = prog.add_var(f"z[{b}]", binary=True)
         cap = prog.add_var(f"Ecap[{b}]", lb=0.0, ub=spec.e_max_kwh)
-        prog.add_ineq({z: spec.e_min_kwh, cap: -1.0}, 0.0)
-        prog.add_ineq({cap: 1.0, z: -spec.e_max_kwh}, 0.0)
+        if spec.e_min_kwh > 0:
+            z = prog.add_var(f"z[{b}]", binary=True)
+            prog.add_ineq({z: spec.e_min_kwh, cap: -1.0}, 0.0)
+            prog.add_ineq({cap: 1.0, z: -spec.e_max_kwh}, 0.0)
         obj[cap] = spec.c_cap_per_kwh
         caps[b] = cap
 
@@ -317,16 +313,26 @@ def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
     return prog
 
 
-def _collect_dispatch(res, buses, hours):
+def _collect_dispatch(res, buses, hours, spec):
+    """The storage schedule of res over hours, each hour netted at
+    unchanged stored energy: with dE = eta_ch * Pch - Pdis / eta_dis,
+    Pch becomes max(dE, 0) / eta_ch and Pdis max(-dE, 0) * eta_dis.
+
+    The netted schedule keeps every stored energy, meets every rate and
+    reactive row, and only lowers the load, so no program needs a binary
+    to exclude simultaneous charge and discharge (Li, Guo, Sun & Wang,
+    IEEE TPWRS 2016).
+    """
     def grab(prefix, b):
         return np.array([res.x[f"{prefix}[{b},{t}]"] for t in hours])
 
-    out = {
-        "charge_kw": {b: grab("Pch", b) for b in buses},
-        "discharge_kw": {b: grab("Pdis", b) for b in buses},
-        "q_kvar": {b: grab("Qb", b) for b in buses},
-        "e_ess_kwh": {b: grab("E", b) for b in buses},
-    }
+    out = {"charge_kw": {}, "discharge_kw": {},
+           "q_kvar": {b: grab("Qb", b) for b in buses},
+           "e_ess_kwh": {b: grab("E", b) for b in buses}}
+    for b in buses:
+        de = spec.eta_ch * grab("Pch", b) - grab("Pdis", b) / spec.eta_dis
+        out["charge_kw"][b] = np.maximum(de, 0.0) / spec.eta_ch
+        out["discharge_kw"][b] = np.maximum(-de, 0.0) * spec.eta_dis
     return out
 
 
@@ -371,8 +377,8 @@ def audit_plan(plan: BessPlan, spec: BessSpec, runs):
 def _planning_config() -> SolverConfig:
     """Default solver settings for the week-scale sizing programs.
 
-    These relaxations are heavily dual-degenerate (thousands of big-M
-    gates whose multipliers are not unique), so the interior point
+    These relaxations are heavily dual-degenerate (many storage and flow
+    rows whose multipliers are not unique), so the interior point
     stalls around 1e-7 scaled residuals no matter how long it runs.
     1e-7 targets accept that plateau; plan feasibility is still audited
     independently at 1e-6 after extraction.
@@ -394,9 +400,9 @@ def plan(prog: ConicProgram, cfg: SolverConfig | None = None) -> BessPlan:
     buses = meta["candidates"]
     runs = meta["runs"]
     hours = tuple(t for run in runs for t in run)
-    disp = _collect_dispatch(res, buses, hours)
+    disp = _collect_dispatch(res, buses, hours, spec)
     caps = {b: float(res.x[f"Ecap[{b}]"]) for b in buses}
-    installed = {b: res.x[f"z[{b}]"] >= 0.5 for b in buses}
+    installed = {b: caps[b] > AUDIT_TOL for b in buses}
     # investment cost only; the solver objective also carries the
     # binary tie-break anchor
     cost = sum(spec.c_cap_per_kwh * c for c in caps.values())
@@ -516,19 +522,14 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
     the slack injection. Cyclic SOC anchored at soc_initial. Only the
     installed units (capacity above AUDIT_TOL) get variables.
 
-    The day is one convex solve: the program declares no mode binary.
-    Each hour of the relaxed schedule is then netted at unchanged stored
-    energy: with dE = eta_ch * Pch - Pdis / eta_dis, Pch becomes
-    max(dE, 0) / eta_ch and Pdis max(-dE, 0) * eta_dis. The netted
-    schedule keeps every stored energy, meets every rate and reactive
-    row, and only lowers the load, so with prices >= 0 it also reaches
-    the relaxation's bound: charge/discharge exclusion costs nothing and
-    needs no binaries or branching (Li, Guo, Sun & Wang, IEEE TPWRS
-    2016). Voltages, losses and cost are the exact radial power flow of
-    that schedule (Farivar & Low, IEEE TPWRS 2013), the same tail as a
-    day with no unit, which takes no solve. So they hold even where the
-    relaxation's cones are loose, as in free hours, whose losses carry
-    no price.
+    The day is one convex solve, whose schedule is netted hour by hour
+    at unchanged stored energy (_collect_dispatch). That only lowers the
+    load, so with prices >= 0 the netted schedule also reaches the
+    relaxation's bound. Voltages, losses and cost are the exact radial
+    power flow of that schedule (Farivar & Low, IEEE TPWRS 2013), the
+    same tail as a day with no unit, which takes no solve. So they hold
+    even where the relaxation's cones are loose, as in free hours, whose
+    losses carry no price.
 
     v_limits (lo, hi) p.u., if given, is elastic: each non-slack
     bus-hour has a slack s >= 0 with v + s/k >= lo^2 and v - s/k <= hi^2,
@@ -584,12 +585,7 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
                         f"{hours[0]}", hours)
     if res.status != "optimal":
         raise RuntimeError(f"dispatch solve failed: {res.status}")
-    storage = _collect_dispatch(res, list(active), hours)
-    for b in active:
-        de = spec.eta_ch * storage["charge_kw"][b] - \
-            storage["discharge_kw"][b] / spec.eta_dis
-        storage["charge_kw"][b] = np.maximum(de, 0.0) / spec.eta_ch
-        storage["discharge_kw"][b] = np.maximum(-de, 0.0) * spec.eta_dis
+    storage = _collect_dispatch(res, list(active), hours, spec)
     return _flow_day(net, profiles, hours, prices, storage)
 
 

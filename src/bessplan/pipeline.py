@@ -7,9 +7,10 @@ then validate day by day across the whole horizon: a day the plan's
 own schedule holds under the exact power flow passes without a solve,
 every other day takes one elastic convex solve and is judged on the
 exact power flow of the schedule it returns; branch-and-bound runs in
-sizing alone. A failed validation backtracks by adding the next-ranked
-window and re-planning, up to a round cap. Reports are plain CSV/JSON
-files, byte-stable under a fixed master seed.
+sizing alone, over the installation flags of a minimum unit size. A
+failed validation backtracks by adding the next-ranked window and
+re-planning, up to a round cap. Reports are plain CSV/JSON files,
+byte-stable under a fixed master seed.
 """
 
 from __future__ import annotations
@@ -257,13 +258,13 @@ def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
     under the exact power flow is certified without a solve
     (oep.certify_day). Every other day is one loss-minimizing operation
     of the plan's storage (plan_.spec) with daily-cyclic SOC and the
-    network's voltage limits made elastic: one convex solve, with no
-    mode binaries, whose netted schedule's exact power flow gives the
-    day's voltages (see dispatch_day). So only a branch current cap or
-    a load the feeder cannot carry makes a day infeasible (PlanError),
-    and only this dispatch can fail a day. The verdict passes iff no
-    voltage ends more than oep.VALIDATION_TOL p.u. outside the limits;
-    the ones that do are the residual records (oep.residuals).
+    network's voltage limits made elastic: one convex solve, whose
+    netted schedule's exact power flow gives the day's voltages (see
+    dispatch_day). So only a branch current cap or a load the feeder
+    cannot carry makes a day infeasible (PlanError), and only this
+    dispatch can fail a day. The verdict passes iff no voltage ends
+    more than oep.VALIDATION_TOL p.u. outside the limits; the ones that
+    do are the residual records (oep.residuals).
     """
     days = _day_chunks(range(profiles.n_hours))
     v_day = {d[0]: certify_day(net, profiles, plan_, d) for d in days}

@@ -213,6 +213,20 @@ class TestMISOCP:
             ("optimal", relax.objective, relax.x, 0.0, relax.max_residual, 1)
         assert trace == [(relax.objective, math.inf)]
 
+    def test_program_without_binaries_reports_a_stalled_root(
+            self, monkeypatch):
+        # a root that ends short of optimal is not solved again as an
+        # incumbent: its status comes back with no point
+        prog = make_random_socp(3)[0]
+        real = conic._ipm.conelp
+        calls = []
+        monkeypatch.setattr(conic._ipm, "conelp",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        res = solve_misocp(prog, SolverConfig(max_iters=1))
+        assert len(calls) == 1
+        assert (res.status, res.x, res.gap, res.iterations) == \
+            ("iteration-limit", {}, math.inf, 1)
+
     def test_infeasible_instance(self):
         prog = ConicProgram()
         z = prog.add_var("z", binary=True)

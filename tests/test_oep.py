@@ -2,11 +2,14 @@
 
 The sizing answer is checked against an independent oracle: a greedy
 charge/discharge simulation on the exact sweep power flow, wrapped in a
-1-D search over capacity. Energy dynamics are pinned by hand-computable
-two-hour instances solved through the relaxation only. A day without
-storage, a dispatched day's schedule and a day validation certifies on
-the plan's own schedule are checked against the sweep oracle, and a spy
-on dispatch_day shows which days still take a solve.
+1-D search over capacity. Without a minimum unit size sizing declares
+no binary and is one interior-point solve, which a spy on the solver
+counts. Energy dynamics are pinned by hand-computable two-hour
+instances solved through the relaxation only. A day without storage, a
+dispatched day's schedule and a day validation certifies on the plan's
+own schedule are checked against the sweep oracle, and a spy on
+dispatch_day shows which days still take a solve: a plan sized on two
+days at once closes each day's SOC chain, so both are certified.
 """
 
 import math
@@ -15,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bessplan import pipeline
+from bessplan import conic, pipeline
 from bessplan.conic import ConicProgram, solve_relaxation
 from bessplan.netmodel import LoadProfileSet
 from bessplan.oep import (AUDIT_TOL, VALIDATION_TOL, AuditError, BessPlan,
@@ -48,10 +51,6 @@ def active_only_spec(**kw):
 
 
 class TestBessSpec:
-    def test_big_m_from_rates(self):
-        spec = BessSpec(e_max_kwh=800.0, c_rate_ch=0.3, c_rate_dis=0.5)
-        assert spec.big_m_active() == 0.5 * 800.0
-
     @pytest.mark.parametrize("bad", [
         dict(soc_min=0.5, soc_max=0.5),
         dict(soc_min=-0.1),
@@ -92,20 +91,32 @@ class TestBuildStructure:
         net = feeder2()
         profiles = LoadProfileSet.constant(net, "2024-06-01T00", 24)
         prog = build_toep(net, profiles, range(24), [2], BessSpec())
-        # commitment z plus charge and discharge flags per hour
-        assert len(prog.binaries) == 1 + 24 * 2
+        # no minimum unit size, so no installation flag
+        assert prog.binaries == ()
         # per hour: 6 flow rows + 1 SOC dynamics row; +1 cyclic closure
         assert len(prog._eqs) == 24 * 6 + 24 + 1
         # per hour: 4 capacity couplings (charge, discharge, reactive
-        # both ways) + 2 gates + 1 exclusion + 2 SOC band rows; +2
-        # z/Ecap gating rows per candidate
-        assert len(prog._ineqs) == 24 * 9 + 2
+        # both ways) + 2 SOC band rows
+        assert len(prog._ineqs) == 24 * 6
         assert len(prog._cones) == 24
+        # the capacity rows bound power and stored energy: no variable
+        # of the storage block carries a bound that repeats one
+        for name in ("Pch[2,5]", "Pdis[2,5]", "E[2,5]"):
+            assert prog._ub[prog._index[name]] is None
+        assert prog._lb[prog._index["E[2,5]"]] is None
+
+    def test_minimum_unit_size_adds_one_flag_per_candidate(self):
+        net = feeder2()
+        profiles = LoadProfileSet.constant(net, "2024-06-01T00", 24)
+        prog = build_toep(net, profiles, range(24), [2],
+                          BessSpec(e_min_kwh=100.0))
+        assert prog.binaries == ("z[2]",)
+        # and its two gating rows: e_min_kwh * z <= Ecap <= e_max_kwh * z
+        assert len(prog._ineqs) == 24 * 6 + 2
 
     def test_fixed_capacity_bounds_energy_without_a_row(self):
         # at a fixed capacity E <= soc_max * cap is E's own upper bound,
-        # so dispatch mode carries one SOC band row per hour, not two;
-        # and it has no mode binaries, so no gates and no exclusion row:
+        # so dispatch mode carries one SOC band row per hour, not two:
         # per hour 4 capacity couplings + 1 SOC band row
         spec = BessSpec()
         prog = ConicProgram("fixed")
@@ -116,14 +127,15 @@ class TestBuildStructure:
         j = prog._index["E[2,5]"]
         assert prog._ub[j] == spec.soc_max * 400.0
 
-    def test_gapped_window_gets_one_chain_per_run(self):
+    def test_gapped_window_gets_one_chain_per_day(self):
         net = feeder2()
-        profiles = LoadProfileSet.constant(net, "2024-06-01T00", 72)
-        hours = list(range(24)) + list(range(48, 72))
+        profiles = LoadProfileSet.constant(net, "2024-06-01T00", 96)
+        hours = list(range(48)) + list(range(72, 96))
         prog = build_toep(net, profiles, hours, [2], BessSpec())
-        assert len(prog.binaries) == 1 + 48 * 2
-        # two cyclic closures, one per contiguous run
-        assert len(prog._eqs) == 48 * 6 + 48 + 2
+        assert prog.binaries == ()
+        # three cyclic closures, one per day, the two-day run included
+        assert len(prog._eqs) == 72 * 6 + 72 + 3
+        assert [run[0] for run in prog._meta["runs"]] == [0, 24, 72]
 
     def test_input_validation(self):
         net = feeder2()
@@ -203,8 +215,8 @@ class TestZeroViolationPlan:
         assert result.objective <= 1e-3
         assert not any(result.installed.values())
         for b in result.buses:
-            # an uninstalled unit's capacity carries the noise of its own
-            # zero-width box, not big-M times that of its binary
+            # an uninstalled unit's capacity carries only the interior
+            # point's noise at its zero lower bound
             assert result.capacity_kwh[b] <= 1e-8
             assert result.charge_kw[b].max(initial=0.0) <= 1e-6
             assert result.discharge_kw[b].max(initial=0.0) <= 1e-6
@@ -315,6 +327,20 @@ class TestMinimalCapacity:
             prog = build_toep(net, profiles, range(24), [2], spec)
             cap[v_lo] = plan(prog).total_capacity_kwh()
         assert cap[0.955] >= cap[0.95] - 1e-6
+
+    def test_sizing_without_a_minimum_unit_is_one_solve(self, monkeypatch):
+        # with e_min_kwh 0 an installation flag could not change the
+        # answer: the program declares no binary and plan solves it once
+        net, profiles = uv_profiles()
+        prog = build_toep(net, profiles, range(24), [2], active_only_spec())
+        assert prog.binaries == ()
+        real = conic._ipm.conelp
+        calls = []
+        monkeypatch.setattr(conic._ipm, "conelp", lambda *a, **k:
+                            calls.append(a) or real(*a, **k))
+        result = plan(prog)
+        assert len(calls) == 1
+        assert result.gap == 0.0 and result.installed == {2: True}
 
     def test_unfixable_window_reports_binding_hours(self):
         net, profiles = uv_profiles()
@@ -703,6 +729,20 @@ class TestValidatePlan:
             q[1] -= plan_.q_kvar[2][t]
             v = sweep_power_flow(net, p, q)[0]
             assert np.abs(verdict.v_sq[:, t] - v).max() <= 1e-10
+
+    def test_window_of_two_days_is_certified_day_by_day(self, monkeypatch,
+                                                        two_peak_days):
+        # sized on both days at once, each day closes its own SOC chain,
+        # so both replay as daily-cyclic days and need no solve
+        net, profiles, day_plan = two_peak_days
+        plan_ = plan(build_toep(net, profiles, range(48), [2], BessSpec()))
+        cap = plan_.capacity_kwh[2]
+        assert cap == pytest.approx(day_plan.capacity_kwh[2], rel=1e-6)
+        target = plan_.spec.soc_initial * cap
+        assert abs(plan_.e_ess_kwh[2][23] - target) <= AUDIT_TOL
+        verdict, calls = self.validate(monkeypatch, net, profiles, plan_)
+        assert verdict.passed
+        assert calls == [] and verdict.certified_days == (0, 24)
 
     @pytest.mark.parametrize("end", ["start", "end"])
     def test_off_target_boundary_energy_is_dispatched(self, monkeypatch,

@@ -11,13 +11,15 @@ Each command must exit 0 with its status in summary.json, and write the
 same report bytes twice for one --seed, the second time on two threads.
 A passing plan's validated voltages lie within the limits up to
 VALIDATION_TOL. An unknown config key exits 2; a storage cap far below
-what the peak needs, or a node limit that stops sizing before any
-integer solution, exits 3 from the plan stage; the first names the
-hours no capacity can fix. Every command that sized a plan writes its
-final gap to summary.json as plan_gap, and every one that validated it
-the number of days its own schedule certified as certified_days. A
-plan sized on a short sag that fails validation on a longer one exits
-1.
+what the peak needs, or a node limit that stops sizing with a minimum
+unit size before any integer solution, exits 3 from the plan stage; the
+first names the hours no capacity can fix after a one-node sizing
+solve. Without a minimum unit size sizing has no binary, so a one-node
+limit still yields a passing plan. Every command that sized a plan
+writes its final gap to summary.json as plan_gap, and every one that
+validated it the number of days its own schedule certified as
+certified_days. A plan sized on a short sag that fails validation on a
+longer one exits 1.
 """
 
 import csv
@@ -29,6 +31,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from bessplan import oep
 from bessplan.netmodel import LoadProfileSet, load_network
 from bessplan.oep import VALIDATION_TOL
 from bessplan.pipeline import load_config, main
@@ -250,22 +253,39 @@ def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
     assert not (tmp_path / "out").exists()
 
 
+def sizing_nodes(monkeypatch):
+    """Node counts of the sizing solves of the runs that follow."""
+    real = oep.solve_misocp
+    nodes = []
+
+    def spy(prog, cfg=None, trace=None):
+        res = real(prog, cfg, trace)
+        nodes.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(oep, "solve_misocp", spy)
+    return nodes
+
+
 @pytest.mark.parametrize("e_max_kwh", [0.1, 1.0, 10.0, 30.0])
 def test_unfixable_violations_exit_three(line_inputs, tmp_path, capsys,
-                                         e_max_kwh):
+                                         monkeypatch, e_max_kwh):
     doc = json.loads((line_inputs / "config.json").read_text())
-    # the evening peak needs more than 30 kWh at the far end; the node
-    # cap keeps a sizing solve that cannot prove this from running long,
-    # whether it ends infeasible or without an incumbent
+    # the evening peak needs more than 30 kWh at the far end. Without a
+    # minimum unit size sizing declares no binary, so the node cap never
+    # binds: the root relaxation alone ends without a plan, whether
+    # infeasible or stalled, and the full-capacity check names the hours
     doc["bess"] = {"e_max_kwh": e_max_kwh}
-    doc["solver"] = {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 2}
+    doc["solver"] = {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 100}
     path = line_inputs / "small_bess.json"
     path.write_text(json.dumps(doc))
+    nodes = sizing_nodes(monkeypatch)
     assert main(["run", "--config", str(path), "--out",
                  str(tmp_path / "out"), "--seed", "3"]) == 3
     assert "[plan] violations cannot be fixed within the capacity caps; " \
         "binding hours: [17, 18, 19]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    assert nodes == [1]
 
 
 def test_config_keys_mirror_pvm_config(line_inputs):
@@ -278,8 +298,10 @@ def test_config_keys_mirror_pvm_config(line_inputs):
 
 def test_sizing_without_incumbent_exits_three(line_inputs, tmp_path,
                                              capsys):
-    # one node is the root relaxation, which has fractional binaries
+    # one node is the root relaxation, whose installation flag (of a
+    # 10 kWh minimum unit) is fractional
     doc = json.loads((line_inputs / "config.json").read_text())
+    doc["bess"] = {"e_min_kwh": 10.0}
     doc["solver"] = {"node_limit": 1}
     path = line_inputs / "one_node.json"
     path.write_text(json.dumps(doc))
@@ -288,6 +310,24 @@ def test_sizing_without_incumbent_exits_three(line_inputs, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("[plan] ") and "no-incumbent" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_zero_margin_sizing_is_one_relaxation(line_inputs, tmp_path,
+                                              monkeypatch):
+    # without a minimum unit size sizing has no binary to branch on, so
+    # even a one-node limit gives the plan: its root relaxation, sized to
+    # the limits with no margin, which validation passes
+    doc = json.loads((line_inputs / "config.json").read_text())
+    doc["solver"] = {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 1}
+    path = line_inputs / "zero_margin.json"
+    path.write_text(json.dumps(doc))
+    nodes = sizing_nodes(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out),
+                 "--seed", "3"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "pass" and summary["plan_gap"] == 0.0
+    assert summary["total_capacity_kwh"] > 0 and nodes == [1]
 
 
 def test_failed_validation_exits_one(tmp_path):

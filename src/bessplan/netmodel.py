@@ -339,6 +339,9 @@ class LoadProfileSet:
     horizon : (H,) numpy datetime64[h], strictly increasing, hourly spacing
     bus_ids : tuple of covered bus ids (columns)
     p_kw, q_kvar : (H, len(bus_ids)) arrays
+
+    The timestamps alone give a row's clock hour and calendar day
+    (hour_of_day, days); the horizon may start at any hour.
     """
 
     def __init__(self, horizon, bus_ids, p_kw, q_kvar):
@@ -363,6 +366,25 @@ class LoadProfileSet:
     @property
     def n_hours(self):
         return len(self.horizon)
+
+    @property
+    def hour_of_day(self):
+        """(H,) clock hour, 0-23, of each row."""
+        midnight = self.horizon.astype("datetime64[D]")
+        return (self.horizon - midnight).astype(int)
+
+    def days(self, hours=None):
+        """The rows (all, or the given hour indices) as sorted lists of
+        consecutive rows that fall on one calendar date, in order."""
+        h = np.unique(np.asarray(range(self.n_hours) if hours is None
+                                 else list(hours), dtype=np.intp))
+        if not len(h):
+            raise ValueError("empty hour set")
+        if h[0] < 0 or h[-1] >= self.n_hours:
+            raise ValueError("window not covered by profiles")
+        date = self.horizon[h].astype("datetime64[D]")
+        cut = np.flatnonzero((np.diff(h) != 1) | (date[1:] != date[:-1]))
+        return [run.tolist() for run in np.split(h, cut + 1)]
 
     @classmethod
     def constant(cls, net: Network, start, hours):

@@ -5,18 +5,21 @@ program over a reduced hour window and candidate-bus set: branch-flow
 physics per hour with hard voltage limits, plus per-candidate storage
 blocks (charge, discharge and one signed reactive output within the
 capacity's rate and kvar bands, SOC band, hourly energy dynamics with
-daily-cyclic closure). Its only binaries are the per-candidate
-installation flags z of a minimum unit size e_min_kwh > 0; without one
-sizing is a single convex solve. plan() solves it (by branch-and-bound
-when there are flags, the only mixed-integer solve here), nets and
-audits the result, and when the solve returns no plan tells a window no
-capacity can fix from a solver failure. dispatch_day operates a fixed
-plan over one day by one convex solve, with the voltage limits elastic
-when it validates, and reports the exact power flow (by sweep) of the
-netted schedule; a day without storage is that power flow alone.
-certify_day passes a day of the sized window on the plan's own
-schedule and the power flow, without a solve. tou_dispatch
-re-optimizes a fixed plan against an hourly tariff, day by day.
+daily-cyclic closure). A day is a calendar date of the profile horizon
+(LoadProfileSet.days), so sizing, validation and pricing cut the same
+days wherever the horizon starts. Its only binaries are the
+per-candidate installation flags z of a minimum unit size e_min_kwh > 0;
+without one sizing is a single convex solve. plan() solves it (by
+branch-and-bound when there are flags, the only mixed-integer solve
+here), nets and audits the result, and when the solve returns no plan
+tells a window no capacity can fix from a solver failure. dispatch_day
+operates a fixed plan over one calendar day by one convex solve, with
+the voltage limits elastic when it validates, and reports the exact
+power flow (by sweep) of the netted schedule; a day without storage is
+that power flow alone. certify_day passes a day of the sized window on
+the plan's own schedule and the power flow, without a solve.
+tou_dispatch re-optimizes a fixed plan against an hourly tariff, day by
+day; a daily tariff pattern prices each row by its clock hour.
 
 Unit conventions: network flows in p.u. on the network bases; storage
 power in kW, energy in kWh; the balance rows carry the kW -> p.u.
@@ -134,35 +137,15 @@ class TouTariff:
         object.__setattr__(self, "prices", prices)
 
     @classmethod
-    def from_daily_pattern(cls, pattern24, n_hours):
+    def from_daily_pattern(cls, pattern24, hour_of_day):
+        """Row t pays pattern24[hour_of_day[t]], its clock hour's price."""
         pattern24 = np.asarray(pattern24, dtype=float)
         if pattern24.shape != (24,):
             raise ValueError("daily pattern must have 24 entries")
-        reps = int(np.ceil(n_hours / 24))
-        return cls(np.tile(pattern24, reps)[:n_hours])
+        return cls(pattern24[np.asarray(hour_of_day)])
 
     def covers(self, hours):
         return max(hours) < len(self.prices) and min(hours) >= 0
-
-
-def _segments(hours):
-    """Split sorted unique hours into maximal contiguous runs."""
-    hours = sorted(set(int(t) for t in hours))
-    if not hours:
-        raise ValueError("empty hour set")
-    runs = [[hours[0]]]
-    for t in hours[1:]:
-        if t == runs[-1][-1] + 1:
-            runs[-1].append(t)
-        else:
-            runs.append([t])
-    return runs
-
-
-def _day_chunks(hours):
-    """Contiguous runs of the hours, cut into blocks of at most 24."""
-    return [run[i:i + 24] for run in _segments(hours)
-            for i in range(0, len(run), 24)]
 
 
 def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
@@ -252,10 +235,11 @@ def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
     """Sizing/placement program over the given hours and candidate buses.
 
     hours may contain gaps. Each day of it (a block of at most 24
-    contiguous hours, as validation cuts them) carries its own SOC
-    chain, anchored and cyclically closed at soc_initial, so the days
-    share only the investment variables and every day's schedule is a
-    feasible operation of the daily-cyclic dispatch_day. Every non-slack
+    contiguous hours on one calendar date, LoadProfileSet.days, as
+    validation cuts them) carries its own SOC chain, anchored and
+    cyclically closed at soc_initial, so the days share only the
+    investment variables and every day's schedule is a feasible
+    operation of the daily-cyclic dispatch_day. Every non-slack
     bus is held within the network's voltage limits. A candidate gets
     an installation flag z only when a unit has a minimum size
     (spec.e_min_kwh > 0): without one, Ecap <= e_max_kwh * z holds at
@@ -271,11 +255,9 @@ def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
             raise ValueError("slack bus cannot host storage")
     if len(set(candidates)) != len(candidates):
         raise ValueError("duplicate candidate buses")
-    runs = _day_chunks(hours)
+    runs = profiles.days(hours)
     flat_hours = [t for run in runs for t in run]
     p_kw, q_kvar = profiles.aligned(net)
-    if flat_hours[-1] >= p_kw.shape[0] or flat_hours[0] < 0:
-        raise ValueError("window not covered by profiles")
 
     prog = ConicProgram(f"toep-{net.name}")
     k_pu = net.to_pu_power(1.0)
@@ -516,7 +498,8 @@ class DayDispatch:
 
 def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
                  prices=None, cfg=None):
-    """Operate fixed storage over one contiguous hour run.
+    """Operate fixed storage over contiguous hours of one calendar day
+    (one run of LoadProfileSet.days).
 
     Loss-minimizing when prices is None, else minimizes energy cost at
     the slack injection. Cyclic SOC anchored at soc_initial. Only the
@@ -539,13 +522,11 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
     cannot carry) raises PlanError.
     """
     cfg = cfg or _planning_config()
-    runs = _segments(hours)
+    runs = profiles.days(hours)
     if len(runs) != 1:
-        raise ValueError("dispatch_day needs contiguous hours")
+        raise ValueError("dispatch_day needs contiguous hours of one day")
     hours = runs[0]
     p_kw, q_kvar = profiles.aligned(net)
-    if hours[-1] >= p_kw.shape[0]:
-        raise ValueError("hours not covered by profiles")
     active = {b: c for b, c in capacity_kwh.items() if c > AUDIT_TOL}
     if not active:
         return _flow_day(net, profiles, hours, prices, {})
@@ -627,18 +608,17 @@ def tou_dispatch(net, profiles, plan_: BessPlan, tariff: TouTariff,
                  hours=None, cfg=None, threads: int = 1) -> TouResult:
     """Cost-optimal operation of a fixed plan under an hourly tariff.
 
-    Days solve independently (daily-cyclic SOC) with no voltage limits,
-    so a day is infeasible only where the network cannot carry its load,
-    for example past a branch current cap; dispatch_day then raises
-    PlanError naming the day's first hour.
+    The hours (default: the whole horizon) are cut into calendar days
+    (LoadProfileSet.days). Days solve independently (daily-cyclic SOC)
+    with no voltage limits, so a day is infeasible only where the
+    network cannot carry its load, for example past a branch current
+    cap; dispatch_day then raises PlanError naming the day's first
+    hour.
     """
-    if hours is None:
-        hours = range(profiles.n_hours)
-    hours = sorted(set(int(t) for t in hours))
-    if not tariff.covers(hours):
+    days = profiles.days(hours)
+    if not tariff.covers(np.concatenate(days)):
         raise ValueError("tariff does not cover the requested hours")
     spec = plan_.spec
-    days = _day_chunks(hours)
 
     def one(day):
         return dispatch_day(net, profiles, day, plan_.capacity_kwh,

@@ -2,15 +2,17 @@
 
 The run is staged: screen the full horizon for voltage violations,
 reduce the problem in time (worst stress window) and space (clustered
-candidate buses), size and place storage over the monitored window,
-then validate day by day across the whole horizon: a day the plan's
-own schedule holds under the exact power flow passes without a solve,
-every other day takes one elastic convex solve and is judged on the
-exact power flow of the schedule it returns; branch-and-bound runs in
-sizing alone, over the installation flags of a minimum unit size. A
-failed validation backtracks by adding the next-ranked window and
-re-planning, up to a round cap. Reports are plain CSV/JSON files,
-byte-stable under a fixed master seed.
+candidate buses), size and place storage over the monitored window, then
+validate day by day across the whole horizon. A day is a calendar date
+of the profile horizon's timestamps (LoadProfileSet.days), the same days
+stat scores and sizing chains, and a daily tariff prices each hour by
+its clock hour. A day the plan's own schedule holds under the exact
+power flow passes without a solve, every other day takes one elastic
+convex solve and is judged on the exact power flow of the schedule it
+returns; branch-and-bound runs in sizing alone, over the installation
+flags of a minimum unit size. A failed validation backtracks by adding
+the next-ranked window and re-planning, up to a round cap. Reports are
+plain CSV/JSON files, byte-stable under a fixed master seed.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from ._parallel import pmap
 from .conic import SolverConfig
 from .netmodel import (LoadProfileSet, NetworkError, load_network)
-from .oep import (BessPlan, BessSpec, PlanError, TouTariff, _day_chunks,
-                  build_toep, certify_day, dispatch_day, residuals)
+from .oep import (BessPlan, BessSpec, PlanError, TouTariff, build_toep,
+                  certify_day, dispatch_day, residuals)
 from .oep import plan as solve_plan
 from .oep import savings_report, tou_dispatch
 from .scenarios import (ScenarioError, detect_events, extract_ev_load,
@@ -41,8 +43,12 @@ from .stat import (CandidateSet, DEFAULT_WEIGHTS, DEFAULT_WINDOW_DAYS,
                    METRICS, build_pool, candidate_rows, cluster,
                    combined_metric, daily_metrics, diversity_filter,
                    node_features, normalize_and_score, peak_severity_hour,
-                   rank_windows, scored_day_rows, select_worst_window,
-                   sensitivities, window_hours, window_rows)
+                   rank_windows, scored_day_rows, sensitivities,
+                   window_hours, window_rows)
+# not called here: rank_windows ranks every violating day, so its first
+# window is this choice. It stays a pipeline attribute because the
+# benchmark's layer tracer (perfbench/layertrace.py) wraps it there.
+from .stat import select_worst_window  # noqa: F401
 from .vva import detect_violations, node_stats, run_vva
 
 BACKTRACK_CAP = 5
@@ -197,12 +203,16 @@ def load_config(path) -> PvmConfig:
     return PvmConfig(**kv)
 
 
-def read_tariff(path, n_hours) -> TouTariff:
-    """Load $/kWh prices: one value per line, '#' comments allowed.
+def read_tariff(path, hour_of_day) -> TouTariff:
+    """Load $/kWh prices for the profile rows whose clock hours
+    (LoadProfileSet.hour_of_day) are given: one value per line, '#'
+    comments allowed.
 
-    Exactly 24 values form a daily pattern tiled across the horizon;
-    otherwise the file must cover the horizon and is truncated to it.
+    Exactly 24 values form a daily pattern indexed by clock hour, 0 at
+    midnight; otherwise the file gives one price per row, must cover
+    the horizon and is truncated to it.
     """
+    n_hours = len(hour_of_day)
     vals = []
     with open(path) as fh:
         for line in fh:
@@ -212,7 +222,7 @@ def read_tariff(path, n_hours) -> TouTariff:
     if not vals:
         raise ValueError(f"tariff file {path} has no prices")
     if len(vals) == 24:
-        return TouTariff.from_daily_pattern(vals, n_hours)
+        return TouTariff.from_daily_pattern(vals, hour_of_day)
     if len(vals) < n_hours:
         raise ValueError(
             f"tariff covers {len(vals)} hours, horizon needs {n_hours}")
@@ -252,7 +262,8 @@ class ValidationVerdict:
 
 def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
                   round_index: int = 0) -> ValidationVerdict:
-    """Check the frozen plan day by day over the whole horizon.
+    """Check the frozen plan calendar day by calendar day
+    (LoadProfileSet.days) over the whole horizon.
 
     A day inside the sized window whose own schedule holds the limits
     under the exact power flow is certified without a solve
@@ -266,7 +277,7 @@ def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
     more than oep.VALIDATION_TOL p.u. outside the limits; the ones that
     do are the residual records (oep.residuals).
     """
-    days = _day_chunks(range(profiles.n_hours))
+    days = profiles.days()
     v_day = {d[0]: certify_day(net, profiles, plan_, d) for d in days}
     certified = tuple(t for t, v in v_day.items() if v is not None)
     open_days = [d for d in days if v_day[d[0]] is None]
@@ -358,7 +369,9 @@ def _overlaid_profiles(cfg, net, base):
     """(overlaid profiles, charger scenarios, their distributions)."""
     sp = cfg.scenarios
     dist = _distributions_for(cfg)
-    days = math.ceil(base.n_hours / 24)
+    # scenario hour 0 is midnight; overlay_penetration aligns it with
+    # the clock hour of the first profile row
+    days = math.ceil((base.hour_of_day[0] + base.n_hours) / 24)
     scen = generate_annual(dist, sp.n, sp.daily_prob, seed=sp.seed,
                            days=days, threads=cfg.threads)
     return overlay_penetration(net, base, scen, sp.penetration, sp.growth,
@@ -375,7 +388,7 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
     net = _stage("input", load_network, cfg.network)
     base = _stage("input", LoadProfileSet.from_csv, cfg.profiles)
     profiles, _, _ = _stage("scenarios", _overlaid_profiles, cfg, net, base)
-    tariff = _stage("input", read_tariff, cfg.tariff, profiles.n_hours)
+    tariff = _stage("input", read_tariff, cfg.tariff, profiles.hour_of_day)
 
     sol = _stage("vva", run_vva, net, profiles, cfg=cfg.solver,
                  threads=cfg.threads)
@@ -398,10 +411,6 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
     days = _stage("stat", lambda: normalize_and_score(
         daily_metrics(records), st.weights))
     ranked = _stage("stat", rank_windows, days, st.window_days)
-    if not ranked:
-        # all-zero stress scores (single violating day): fall back to
-        # the plain worst window
-        ranked = [_stage("stat", select_worst_window, days, st.window_days)]
 
     p_kw, q_kvar = profiles.aligned(net)
     peak = _stage("stat", peak_severity_hour, records)

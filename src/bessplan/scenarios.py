@@ -482,16 +482,18 @@ def _one_scenario(dist, daily_prob, seed, k, days):
 def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365, threads=1):
     """Monte Carlo annual per-charger scenarios.
 
-    Each scenario day charges with probability daily_prob; a charging
-    day gets one sampled session placed at its start hour, spilling
-    into the next day when it runs past midnight (a session that would
-    start while the previous one runs is delayed until it ends).
-    Scenario k runs on its own RNG stream, seeded by (seed, k), so
-    results are identical whether built sequentially or with a thread
-    pool. Each stream draws, in order: one uniform per day (the
-    charging coin flips), the (duration, energy) pairs of all charging
-    days with their positivity redraws, then their start hours. For
-    days == 1 this is the same stream as a day-by-day draw.
+    A scenario series starts at midnight of its day 0, so its hour 24 is
+    the next midnight (overlay_penetration aligns it with a profile
+    horizon's clock). Each scenario day charges with probability
+    daily_prob; a charging day gets one sampled session placed at its
+    start hour, spilling into the next day when it runs past midnight (a
+    session that would start while the previous one runs is delayed
+    until it ends). Scenario k runs on its own RNG stream, seeded by
+    (seed, k), so results are identical whether built sequentially or
+    with a thread pool. Each stream draws, in order: one uniform per day
+    (the charging coin flips), the (duration, energy) pairs of all
+    charging days with their positivity redraws, then their start hours.
+    For days == 1 this is the same stream as a day-by-day draw.
     """
     if not 0.0 <= daily_prob <= 1.0:
         raise ScenarioError(f"daily_prob must lie in [0, 1], got {daily_prob}")
@@ -515,17 +517,22 @@ def overlay_penetration(net: Network, profiles: LoadProfileSet, scenarios,
     The base demand is scaled by the growth factor, then a seeded
     random subset of the non-slack load buses, of size
     round(penetration * eligible), each receives one scenario's hourly
-    kW added to active power. Reactive power is untouched: chargers run
-    near unity power factor. Scenario rows are drawn without
-    replacement while enough are available.
+    kW added to active power. Scenario hour 0 is midnight, so each
+    series is read from the first profile row's clock hour on
+    (LoadProfileSet.hour_of_day): a session at 19:00 lands on the row
+    stamped 19:00 wherever the horizon starts. Reactive power is
+    untouched: chargers run near unity power factor. Scenario rows are
+    drawn without replacement while enough are available.
     """
     if not 0.0 <= penetration <= 1.0:
         raise ScenarioError(f"penetration must lie in [0, 1], got {penetration}")
     scaled = scale_profiles(profiles, growth)
-    if scenarios.n_hours < scaled.n_hours:
+    H = scaled.n_hours
+    first = int(scaled.hour_of_day[0])
+    if scenarios.n_hours < first + H:
         raise ScenarioError(
             f"scenarios cover {scenarios.n_hours} hours, profiles span "
-            f"{scaled.n_hours}")
+            f"{H} from clock hour {first}")
 
     eligible = sorted(bid for i, bid in enumerate(net.ids)
                       if i != net.slack and bid in scaled.bus_ids)
@@ -538,9 +545,9 @@ def overlay_penetration(net: Network, profiles: LoadProfileSet, scenarios,
 
     col = {bid: j for j, bid in enumerate(scaled.bus_ids)}
     p = scaled.p_kw.copy()
-    H = scaled.n_hours
     for bi, si in zip(chosen, rows):
-        p[:, col[eligible[int(bi)]]] += scenarios.series[int(si), :H]
+        p[:, col[eligible[int(bi)]]] += \
+            scenarios.series[int(si), first:first + H]
     p.flags.writeable = False
     return LoadProfileSet(scaled.horizon, scaled.bus_ids, p, scaled.q_kvar)
 

@@ -105,37 +105,38 @@ def normalize_and_score(days, weights=None) -> list:
             for d, row in zip(days, normed)]
 
 
-def _calendar_scores(days):
-    """Dense per-day score array over the scored calendar span."""
+def _window_sums(days, window_days):
+    """(first date, W-day window sums by start, whether each window
+    holds a scored day) over the scored calendar span, padded with
+    zero-stress days to at least one window (window_hours clips a
+    window to the horizon)."""
+    if window_days < 1:
+        raise ValueError("window length must be >= 1 day")
+    if not days:
+        raise ValueError("no scored days")
     for d in days:
         if math.isnan(d.score):
             raise ValueError("days must be scored before window scans")
     dates = np.array([d.date for d in days], dtype="datetime64[D]")
     first = dates.min()
-    s = np.zeros(int((dates.max() - first).astype(int)) + 1)
-    for d, k in zip(days, (dates - first).astype(int)):
-        s[int(k)] = d.score
-    return first, s
-
-
-def _window_sums(days, window_days):
-    if window_days < 1:
-        raise ValueError("window length must be >= 1 day")
-    if len(days) < window_days:
-        raise ValueError(f"need at least {window_days} scored days, "
-                         f"got {len(days)}")
-    first, s = _calendar_scores(days)
-    return first, np.convolve(s, np.ones(window_days), mode="valid")
+    k = (dates - first).astype(int)
+    s = np.zeros(max(int(k.max()) + 1, window_days))
+    held = np.zeros(len(s))
+    s[k] = [d.score for d in days]
+    held[k] = 1.0
+    ones = np.ones(window_days)
+    return (first, np.convolve(s, ones, mode="valid"),
+            np.convolve(held, ones, mode="valid") > 0)
 
 
 def select_worst_window(days, window_days=DEFAULT_WINDOW_DAYS) \
         -> CriticalWindow:
     """Maximal cumulative stress over all W-day calendar windows.
 
-    Days missing from the log contribute zero stress; ties go to the
-    earliest start.
+    Days missing from the log, or padding a calendar shorter than the
+    window, contribute zero stress; ties go to the earliest start.
     """
-    first, sums = _window_sums(days, window_days)
+    first, sums, _ = _window_sums(days, window_days)
     k = int(np.argmax(sums))
     start = first + k
     return CriticalWindow(start, start + (window_days - 1), window_days,
@@ -145,17 +146,19 @@ def select_worst_window(days, window_days=DEFAULT_WINDOW_DAYS) \
 def rank_windows(days, window_days=DEFAULT_WINDOW_DAYS) -> list:
     """Non-overlapping windows in descending stress order.
 
-    Greedy scan of all window positions by (score desc, start asc);
-    zero-stress windows are not ranked. Supplies the backtracking
-    sequence: element 0 is select_worst_window's choice.
+    Greedy scan of all window positions by (score desc, start asc),
+    skipping windows that hold no scored day. A window of violating
+    days that all score 0 (min-max scoring gives the mildest day 0) is
+    still ranked, after every window of positive stress, so
+    backtracking can reach every violating day a window can hold.
+    Supplies the backtracking sequence: element 0 is
+    select_worst_window's choice.
     """
-    first, sums = _window_sums(days, window_days)
+    first, sums, held = _window_sums(days, window_days)
     taken = np.zeros(len(sums) + window_days - 1, dtype=bool)
     out = []
     for k in sorted(range(len(sums)), key=lambda k: (-sums[k], k)):
-        if sums[k] <= 0.0:
-            break
-        if taken[k:k + window_days].any():
+        if not held[k] or taken[k:k + window_days].any():
             continue
         taken[k:k + window_days] = True
         start = first + k
@@ -165,9 +168,10 @@ def rank_windows(days, window_days=DEFAULT_WINDOW_DAYS) -> list:
 
 
 def window_hours(window: CriticalWindow, profiles: LoadProfileSet) -> list:
-    """Absolute profile hour indices covered by a window's dates."""
-    d = profiles.horizon.astype("datetime64[D]")
-    mask = (d >= window.start) & (d <= window.end)
+    """Absolute profile hour indices covered by a window's dates,
+    clipped to the horizon."""
+    h = profiles.horizon
+    mask = (h >= window.start) & (h < window.end + 1)
     return [int(k) for k in np.nonzero(mask)[0]]
 
 

@@ -408,6 +408,39 @@ class TestProfiles:
         again = LoadProfileSet(horizon, (2, 3), prof.p_kw, prof.q_kvar)
         assert np.shares_memory(again.q_kvar, prof.q_kvar)
 
+    def test_days_follow_the_calendar_from_any_start(self):
+        prof = LoadProfileSet(
+            np.datetime64("2025-01-01T18") + np.arange(48), (2,),
+            np.ones((48, 1)), np.ones((48, 1)))
+        assert prof.hour_of_day[[0, 5, 6, 47]].tolist() == [18, 23, 0, 17]
+        assert prof.days() == [list(range(6)), list(range(6, 30)),
+                               list(range(30, 48))]
+        # a gap splits a run, and hours come back sorted and unique
+        assert prof.days([31, 3, 4, 4, 28, 29, 30]) == [[3, 4], [28, 29],
+                                                        [30, 31]]
+        with pytest.raises(ValueError, match="covered"):
+            prof.days([47, 48])
+        with pytest.raises(ValueError, match="empty"):
+            prof.days([])
+
+    def test_days_match_a_row_by_row_oracle(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(1, 80))
+            prof = LoadProfileSet(
+                np.datetime64("2025-03-01T00") + int(rng.integers(0, 24)) +
+                np.arange(n), (2,), np.ones((n, 1)), np.ones((n, 1)))
+            hours = rng.integers(0, n, int(rng.integers(1, n + 1)))
+            # oracle: the date is the text of the timestamp before "T"
+            date = [str(t).split("T")[0] for t in prof.horizon]
+            runs = []
+            for t in sorted(set(hours.tolist())):
+                if runs and runs[-1][-1] == t - 1 and date[t] == date[t - 1]:
+                    runs[-1].append(t)
+                else:
+                    runs.append([t])
+            assert prof.days(hours) == runs
+
     def test_missing_non_slack_bus_detected(self):
         net = load_bundled("ieee33")
         prof = LoadProfileSet(

@@ -71,11 +71,25 @@ class TestBessSpec:
 class TestTariff:
     def test_daily_pattern_tiles(self):
         pattern = np.linspace(0.1, 0.5, 24)
-        tariff = TouTariff.from_daily_pattern(pattern, 30)
+        tariff = TouTariff.from_daily_pattern(pattern, np.arange(30) % 24)
         assert len(tariff.prices) == 30
         assert np.array_equal(tariff.prices[24:], pattern[:6])
         assert tariff.covers(range(30))
         assert not tariff.covers([30])
+
+    def test_daily_pattern_follows_the_clock(self, tmp_path):
+        # a horizon that starts at 18:00 pays the 19:00 price on its
+        # second row, whether the pattern comes as prices or a file
+        pattern = np.linspace(0.1, 0.5, 24)
+        profiles = LoadProfileSet.constant(feeder2(), "2024-06-01T18", 30)
+        tariff = TouTariff.from_daily_pattern(pattern, profiles.hour_of_day)
+        assert profiles.horizon[1] == np.datetime64("2024-06-01T19")
+        assert tariff.prices[1] == pattern[19]
+        assert np.array_equal(tariff.prices[6:30], pattern)
+        path = tmp_path / "tariff.txt"
+        path.write_text("".join(f"{p!r}\n" for p in pattern.tolist()))
+        read = pipeline.read_tariff(path, profiles.hour_of_day)
+        assert np.array_equal(read.prices, tariff.prices)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="24"):
@@ -612,7 +626,8 @@ class TestTouDispatch:
         net = feeder2()
         profiles = flat_profiles(net, 500.0, 200.0, n_hours=48)
         spec = BessSpec()
-        tariff = TouTariff.from_daily_pattern(tou_pattern(), 48)
+        tariff = TouTariff.from_daily_pattern(tou_pattern(),
+                                              profiles.hour_of_day)
         out = tou_dispatch(net, profiles, BessPlan.empty((2,), spec),
                            tariff)
         manual = [dispatch_day(net, profiles, range(d * 24, d * 24 + 24),
@@ -631,7 +646,8 @@ class TestTouDispatch:
                                               base=(400.0, 150.0),
                                               n_hours=48))
         spec = BessSpec()
-        tariff = TouTariff.from_daily_pattern(tou_pattern(), 48)
+        tariff = TouTariff.from_daily_pattern(tou_pattern(),
+                                              profiles.hour_of_day)
         base = tou_dispatch(net, profiles, BessPlan.empty((2,), spec),
                             tariff)
         with_bess = tou_dispatch(net, profiles, _fixed_plan(spec, 400.0),
@@ -644,7 +660,8 @@ class TestTouDispatch:
                                       uv_rows(peak=(900.0, 400.0),
                                               base=(400.0, 150.0),
                                               n_hours=72))
-        tariff = TouTariff.from_daily_pattern(tou_pattern(), 72)
+        tariff = TouTariff.from_daily_pattern(tou_pattern(),
+                                              profiles.hour_of_day)
         plan_ = _fixed_plan(BessSpec(), 400.0)
         serial = tou_dispatch(net, profiles, plan_, tariff)
         threaded = tou_dispatch(net, profiles, plan_, tariff, threads=2)
@@ -672,7 +689,8 @@ class TestTouDispatch:
         rows[30] = {2: (2500.0, 800.0)}
         profiles = profiles_from_rows(net, "2024-06-01T00", rows)
         spec = active_only_spec(e_max_kwh=1.0)
-        tariff = TouTariff.from_daily_pattern(tou_pattern(), 48)
+        tariff = TouTariff.from_daily_pattern(tou_pattern(),
+                                              profiles.hour_of_day)
         with pytest.raises(PlanError, match="hour 24") as err:
             tou_dispatch(net, profiles, _fixed_plan(spec, 1.0), tariff)
         assert err.value.hours[0] == 24

@@ -19,7 +19,11 @@ limit still yields a passing plan. Every command that sized a plan
 writes its final gap to summary.json as plan_gap, and every one that
 validated it the number of days its own schedule certified as
 certified_days. A plan sized on a short sag that fails validation on a
-longer one exits 1.
+longer one exits 1 when the round cap stops it; without the cap,
+backtracking monitors the longer sag, although it scores 0, and passes.
+A horizon that starts at 06:00 certifies its sized calendar day, and a
+seven-day window over three violating days of a ten-day horizon is
+sized and passes.
 """
 
 import csv
@@ -148,12 +152,12 @@ LINE_FEEDER = {
                  for b in LINE_BUSES]}
 
 
-def write_line_inputs(root, shape, config):
-    """Line feeder, profiles of base load x shape (per hour), a tariff
-    and config.json; returns the config path."""
+def write_line_inputs(root, shape, config, start="2025-01-01T00"):
+    """Line feeder, profiles of base load x shape (per hour) from start,
+    a tariff and config.json; returns the config path."""
     (root / "feeder.json").write_text(json.dumps(LINE_FEEDER))
     factor = np.repeat(np.asarray(shape)[:, None], len(LINE_BUSES), axis=1)
-    horizon = np.datetime64("2025-01-01T00", "h") + np.arange(len(shape))
+    horizon = np.datetime64(start, "h") + np.arange(len(shape))
     LoadProfileSet(horizon, list(LINE_BUSES), 200.0 * factor,
                    90.0 * factor).to_csv(root / "profiles.csv")
     (root / "tariff.txt").write_text(
@@ -333,7 +337,33 @@ def test_zero_margin_sizing_is_one_relaxation(line_inputs, tmp_path,
 def test_failed_validation_exits_one(tmp_path):
     # a one-hour sag on day 1 outranks a six-hour one on day 2 by maximum
     # severity, so the plan is sized on the short sag; the long one needs
-    # more energy than it holds, and no other window is ranked
+    # more energy than it holds, and a one-round cap stops the run
+    # before backtracking adds day 2
+    shape = np.full(48, 0.5)
+    shape[18] = 1.3
+    shape[40:46] = 1.25
+    config = write_line_inputs(tmp_path, shape, {
+        "scenarios": {"daily_prob": 0.0, "penetration": 0.0},
+        "stat": {"window_days": 1, "weights": [0, 0, 1, 0]},
+        "solver": {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 4},
+        "backtrack_cap": 1})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "fail"
+    assert summary["total_capacity_kwh"] > 0
+    assert summary["notes"] == [
+        "backtrack cap 1 reached without a passing validation"]
+    with open(out / "verdicts.csv", newline="") as fh:
+        rounds = list(csv.DictReader(fh))
+    assert rounds[0]["round"] == "0" and rounds[0]["passed"] == "False"
+    assert int(rounds[0]["residual_count"]) > 0
+    assert rounds[0]["infeasible_days"] == "24"
+
+
+def test_zero_score_day_is_monitored_after_a_failed_round(tmp_path):
+    # the same two sags without a round cap: day 2 scores 0 by maximum
+    # severity, yet it is ranked, so backtracking sizes both days
     shape = np.full(48, 0.5)
     shape[18] = 1.3
     shape[40:46] = 1.25
@@ -342,13 +372,44 @@ def test_failed_validation_exits_one(tmp_path):
         "stat": {"window_days": 1, "weights": [0, 0, 1, 0]},
         "solver": {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 4}})
     out = tmp_path / "out"
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["status"] == "fail"
-    assert summary["total_capacity_kwh"] > 0
-    assert any("backtracking exhausted" in n for n in summary["notes"])
-    with open(out / "verdicts.csv", newline="") as fh:
-        rounds = list(csv.DictReader(fh))
-    assert rounds[0]["round"] == "0" and rounds[0]["passed"] == "False"
-    assert int(rounds[0]["residual_count"]) > 0
-    assert rounds[0]["infeasible_days"] == "24"
+    assert summary["status"] == "pass" and summary["rounds"] == 2
+    assert summary["windows_used"] == [["2025-01-01", "2025-01-01"],
+                                       ["2025-01-02", "2025-01-02"]]
+
+
+def test_horizon_from_six_am_certifies_its_sized_day(tmp_path):
+    # 06:00 to 05:00 the next morning: the 17:00-19:00 peak falls on the
+    # first calendar date, rows 0-17, which sizing chains and validation
+    # cuts as one day, so the plan's own schedule certifies it
+    clock = np.datetime64("2025-01-01T06", "h") + np.arange(24)
+    hod = (clock - clock.astype("datetime64[D]")).astype(int)
+    shape = np.where((hod >= 17) & (hod < 20), 1.0, 0.5)
+    config = write_line_inputs(tmp_path, shape, {
+        "scenarios": {"daily_prob": 0.0, "penetration": 0.0},
+        "stat": {"window_days": 1}}, start="2025-01-01T06")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "pass" and summary["certified_days"] == 1
+
+
+def test_window_longer_than_the_violating_days(tmp_path):
+    # ten days of which the first three peak: the default seven-day
+    # window is longer than the violating days but fits the horizon
+    shape = np.full(240, 0.5)
+    for day, peak in enumerate((1.0, 1.04, 0.98)):
+        shape[24 * day + 17:24 * day + 20] = peak
+    config = write_line_inputs(tmp_path, shape, {
+        "scenarios": {"daily_prob": 0.0, "penetration": 0.0}})
+    out = tmp_path / "out"
+    assert main(["stat", "--config", str(config), "--out", str(out)]) == 0
+    with open(out / "windows.csv", newline="") as fh:
+        windows = list(csv.DictReader(fh))
+    assert [(w["start"], w["end"]) for w in windows] == \
+        [("2025-01-01", "2025-01-07")]
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "pass" and summary["rounds"] == 1
+    assert summary["certified_days"] == 7

@@ -501,6 +501,21 @@ class TestOverlayPenetration:
         with pytest.raises(ScenarioError, match="penetration"):
             overlay_penetration(net, base, annual, 1.01)
 
+    def test_sessions_land_on_their_clock_hour(self, net):
+        # one charger with a 19:00 session each day; the horizon starts
+        # at 18:00, so the row stamped 19:00 is row 1
+        series = np.zeros((1, 72))
+        series[0, [19, 43, 67]] = 7.0
+        sset = ScenarioSet(series, ((),), 0, 1.0)
+        base = LoadProfileSet.constant(net, "2030-06-01T18", 48)
+        out = overlay_penetration(net, base, sset, 1.0 / 32, seed=3)
+        added = (out.p_kw - base.p_kw).sum(axis=1)
+        assert np.flatnonzero(added).tolist() == [1, 25]
+        assert out.horizon[1] == np.datetime64("2030-06-01T19")
+        with pytest.raises(ScenarioError, match="clock hour 18"):
+            overlay_penetration(net, base, ScenarioSet(
+                series[:, :60], ((),), 0, 1.0), 1.0 / 32)
+
     def test_scenarios_must_cover_horizon(self, net, annual):
         long_base = LoadProfileSet.constant(net, "2030-01-01T00", 9000)
         with pytest.raises(ScenarioError, match="hours"):

@@ -139,9 +139,13 @@ class TestWorstWindow:
         win = select_worst_window(scored([3.0, 1.0, 3.0]), 1)
         assert win.start == D0
 
-    def test_needs_enough_days(self):
-        with pytest.raises(ValueError, match="at least 7"):
-            select_worst_window(scored([1.0] * 6), 7)
+    def test_short_calendar_is_padded_to_one_window(self):
+        # six violating days still give a seven-day window; window_hours
+        # clips it to the horizon
+        win = select_worst_window(scored([1.0] * 6), 7)
+        assert (win.start, win.end, win.days) == (D0, D0 + 6, 7)
+        assert win.score == pytest.approx(6.0)
+        assert [w.start for w in rank_windows(scored([1.0] * 6), 7)] == [D0]
         with pytest.raises(ValueError, match="scored"):
             select_worst_window(daily_metrics([rec(0, 20, 0.02)]), 1)
 
@@ -170,10 +174,16 @@ class TestWorstWindow:
 
 
 class TestRankWindows:
-    def test_single_nonzero_day(self):
+    def test_zero_score_violating_days_rank_last(self):
+        # min-max scoring gives the mildest violating day 0; it is still
+        # ranked, after every positive window, but a day with no
+        # violation (absent from the log) is not
         wins = rank_windows(scored([0.0, 0.7, 0.0]), 1)
-        assert len(wins) == 1
-        assert wins[0].start == D0 + 1
+        assert [(w.start, w.score) for w in wins] == \
+            [(D0 + 1, 0.7), (D0, 0.0), (D0 + 2, 0.0)]
+        days = scored([0.0, 0.7, 0.0, 0.0])
+        wins = rank_windows([days[0], days[1], days[3]], 1)
+        assert [w.start for w in wins] == [D0 + 1, D0, D0 + 3]
 
     def test_equal_disjoint_peaks_earlier_first(self):
         wins = rank_windows(scored([2.0, 0.0, 0.0, 2.0]), 1)
@@ -194,19 +204,25 @@ class TestRankWindows:
         for _ in range(30):
             scores = list(rng.uniform(0, 1, 30) *
                           (rng.uniform(0, 1, 30) > 0.3))
-            days = scored(scores)
+            # some zero-score days violate (scored), others are absent;
+            # the first and last are logged, so the calendar spans all 30
+            logged = (np.array(scores) > 0) | (rng.uniform(0, 1, 30) > 0.5)
+            logged[[0, -1]] = True
+            days = [d for d, keep in zip(scored(scores), logged) if keep]
             W = int(rng.integers(1, 6))
             got = rank_windows(days, W)
-            # oracle: rescan after masking every chosen window
+            # oracle: rescan after masking every chosen window, ranking
+            # any window that holds a logged day
             s = np.array(scores)
             expect = []
             while True:
                 sums = np.convolve(s, np.ones(W), mode="valid")
                 masked = [k for k in range(len(sums))
-                          if np.isnan(s[k:k + W]).any()]
+                          if np.isnan(s[k:k + W]).any() or
+                          not logged[k:k + W].any()]
                 sums[masked] = -np.inf
                 k = int(np.argmax(sums))
-                if not sums[k] > 0.0:
+                if sums[k] == -np.inf:
                     break
                 expect.append((D0 + k, float(sums[k])))
                 s[k:k + W] = np.nan

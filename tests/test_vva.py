@@ -199,6 +199,33 @@ class TestPowerFlow:
                            net.q_base_kvar[:, None], [1.0])
 
 
+class TestLooseConeWarning:
+    def test_solver_noise_on_an_exact_relaxation_is_quiet(self):
+        # the cones end about 2e-6 loose on every hour, yet the voltages
+        # match the exact power flow to about 4e-10 p.u.
+        net = load_bundled("ieee69")
+        profiles = LoadProfileSet.constant(net, "2025-01-01T00", 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = run_vva(net, profiles)
+        assert sol.loose_cones
+        exact = power_flow(net, net.p_base_kw[:, None],
+                           net.q_base_kvar[:, None], [1.0])[0]
+        assert np.abs(sol.voltage() - np.sqrt(exact)).max() <= 1e-6
+
+    def test_no_power_flow_warns_at_the_caller(self, monkeypatch):
+        from bessplan import vva
+
+        def no_flow(*args):
+            raise PowerFlowError("no power flow")
+
+        monkeypatch.setattr(vva, "power_flow", no_flow)
+        net = load_bundled("ieee69")
+        with pytest.warns(RuntimeWarning, match="no power flow") as seen:
+            run_vva(net, LoadProfileSet.constant(net, "2025-01-01T00", 1))
+        assert seen[0].filename == __file__
+
+
 class TestViolations:
     def _sol_with_voltages(self, volts):
         volts = np.asarray(volts, dtype=float)[:, None]

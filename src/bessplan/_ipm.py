@@ -359,6 +359,13 @@ def _kkt_sparse(G, A, cone):
     (+delta on the H block, -delta on the empty block), pivoting is
     pinned to the diagonal, and every solve polishes the shift away by
     iterative refinement against the unshifted matrix.
+
+    Each factorization keeps at most two LUs, both of its own K: the
+    shifted factor, and splu(K) with partial pivoting, made the first
+    time the shifted factor's refinement misses 1e-9 relative; once that
+    has done better, later solves of this K start from it. If the shifted
+    factorization raises, splu(K) replaces it and is the pivoted LU. No
+    LU outlives its factorization.
     """
     G = G.tocsr()
     A = A.tocsr()
@@ -376,11 +383,6 @@ def _kkt_sparse(G, A, cone):
     cols = np.concatenate(cols)
     shift = sp.diags(np.concatenate([np.full(n, _KKT_REG),
                                      np.full(p, -_KKT_REG)])).tocsc()
-    # Most recent partial-pivoting factorization, shared across iterates:
-    # near convergence the scaling moves slowly, so a stale accurate LU
-    # still preconditions refinement on the current matrix and saves the
-    # expensive rebuild.
-    cache = {"lu": None, "mine": None}
 
     def factor(W):
         dl2, blocks = cone.binv_parts(W)
@@ -392,22 +394,19 @@ def _kkt_sparse(G, A, cone):
         K = sp.bmat([[H, A.T], [A, None]], format="csc")
         if not np.all(np.isfinite(K.data)):
             raise ArithmeticError("singular KKT matrix")
+        pivoted = None  # K's own partial-pivoting LU, made on demand
         try:
             fast = spla.splu(K + shift, permc_spec="MMD_AT_PLUS_A",
                              diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
         except RuntimeError:
-            fast = None
-        if fast is None:
             try:
-                fast = spla.splu(K)
+                fast = pivoted = spla.splu(K)
             except RuntimeError:
                 raise ArithmeticError("singular KKT matrix") from None
-        # Sticky accuracy escalation: once the partial-pivoting path beat
-        # the diagonal-pivot factor for this matrix, later solves of the
-        # same factorization skip the doomed fast attempt.
-        me = object()
-        state = {"slow_first": False}
+        # Sticky accuracy escalation: once the pivoted LU beat the shifted
+        # factor, later solves of this K skip the doomed shifted attempt.
+        slow_first = False
 
         def refine(lu, rhs, sol):
             # (best iterate, its residual norm) of up to three steps
@@ -424,28 +423,21 @@ def _kkt_sparse(G, A, cone):
             return best
 
         def solve(bx, by, bz):
+            nonlocal pivoted, slow_first
             rhs = np.concatenate([bx + BG.T @ bz, by])
             tol = 1e-9 * max(1.0, float(np.linalg.norm(rhs)))
-            sol, rn = None, math.inf
-            if not state["slow_first"]:
-                sol, rn = refine(fast, rhs, fast.solve(rhs))
-            if not rn <= tol:
-                for _ in (0, 1):
-                    lu = cache["lu"]
-                    if lu is not None:
-                        s2, r2 = refine(lu, rhs, lu.solve(rhs))
-                        if sol is None or (np.isfinite(r2) and r2 < rn):
-                            sol, rn = s2, r2
-                            state["slow_first"] = True
-                    if rn <= tol or cache["mine"] is me:
-                        break
-                    try:
-                        cache["lu"] = spla.splu(K)
-                        cache["mine"] = me
-                    except RuntimeError:
-                        break
-            if sol is None:
-                sol, rn = refine(fast, rhs, fast.solve(rhs))
+            lu = pivoted if slow_first else fast
+            sol, rn = refine(lu, rhs, lu.solve(rhs))
+            if not rn <= tol and pivoted is None:
+                try:
+                    pivoted = spla.splu(K)
+                except RuntimeError:
+                    pivoted = fast  # nothing more accurate to try
+            if not rn <= tol and pivoted is not lu:
+                s2, r2 = refine(pivoted, rhs, pivoted.solve(rhs))
+                if np.isfinite(r2) and r2 < rn:
+                    sol, rn = s2, r2
+                    slow_first = True
             x, y = sol[:n], sol[n:]
             zhat = cone.scale_w(W, G @ x - bz, inverse=True)
             return x, y, zhat
@@ -505,6 +497,9 @@ def conelp(c, G, h, dims, A, b, feastol=1e-8, abstol=1e-8, reltol=1e-8,
     status is 'optimal', 'primal infeasible', 'dual infeasible' or
     'unknown'. For 'optimal'/'unknown' the primal x, s and dual y, z are
     returned unscaled; infeasibility certificates replace them otherwise.
+    An 'unknown' result says in 'reason' why the search stopped:
+    'max-iters', 'stall' (a merit plateau or relapse after near
+    convergence), 'breakdown' (a non-finite merit) or 'singular-kkt'.
     The problem data is Ruiz-equilibrated internally; the reported pres
     and dres refer to the scaled system, while x, y, s, z and the cost
     values are always in original units.
@@ -659,8 +654,11 @@ def _conelp(c, G, h, dims, A, b, feastol, abstol, reltol, maxiters):
             near = bs["pres"] <= 100 * feastol and bs["dres"] <= 100 * feastol \
                 and (bs["gap"] <= 100 * abstol or
                      (bs["relgap"] is not None and bs["relgap"] <= 100 * reltol))
-            return result("optimal" if near else "unknown",
-                          *best[1], **bs)
+            if near:
+                return result("optimal", *best[1], **bs)
+            reason = "breakdown" if bad else "stall" if stalled \
+                else "max-iters"
+            return result("unknown", *best[1], reason=reason, **bs)
 
         # Nesterov-Todd scaling of the current iterate.
         if iters == 0:
@@ -673,7 +671,8 @@ def _conelp(c, G, h, dims, A, b, feastol, abstol, reltol, maxiters):
         except ArithmeticError:
             return result("unknown", x / tau, y / tau, s / tau, z / tau,
                           iterations=iters, pcost=pcost, dcost=dcost,
-                          gap=gap, relgap=relgap, pres=pres, dres=dres)
+                          gap=gap, relgap=relgap, pres=pres, dres=dres,
+                          reason="singular-kkt")
         x1, y1, z1 = f3(-c, b.copy(), h.copy())
         x1 *= dgi
         y1 *= dgi

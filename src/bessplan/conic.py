@@ -41,8 +41,10 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    status: str  # optimal | infeasible | unbounded | iteration-limit, or
-    # from solve_misocp gap-limit | no-incumbent (empty x, infinite gap)
+    status: str  # optimal | infeasible | unbounded | iteration-limit |
+    # stalled (the interior point stopped early: a stall, a breakdown or
+    # a singular KKT matrix), or from solve_misocp gap-limit |
+    # no-incumbent (empty x, infinite gap)
     objective: float
     x: dict
     gap: float | None = None  # relative MIP gap, None for pure relaxations
@@ -295,8 +297,16 @@ _STATUS = {
     "optimal": "optimal",
     "primal infeasible": "infeasible",
     "dual infeasible": "unbounded",
-    "unknown": "iteration-limit",
 }
+
+
+def _status(raw):
+    """SolveResult status of a conelp result: an 'unknown' one that ran
+    out of iterations reads iteration-limit, any other stalled."""
+    if raw["status"] == "unknown":
+        return "iteration-limit" if raw["reason"] == "max-iters" \
+            else "stalled"
+    return _STATUS[raw["status"]]
 
 
 def solve_relaxation(prog: ConicProgram, cfg: SolverConfig | None = None) \
@@ -304,7 +314,7 @@ def solve_relaxation(prog: ConicProgram, cfg: SolverConfig | None = None) \
     """Solve with binaries relaxed to [0,1]. Deterministic."""
     cfg = cfg or SolverConfig()
     raw, scale = _run_ipm(prog, cfg)
-    status = _STATUS[raw["status"]]
+    status = _status(raw)
     if raw["x"] is None:
         return SolveResult(status, math.inf, {}, None, math.inf,
                            raw["iterations"])
@@ -355,7 +365,7 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
 
     def node_solve(fixes):
         raw, scale = _run_ipm(prog, cfg, fixes)
-        status = _STATUS[raw["status"]]
+        status = _status(raw)
         obj = None
         if raw["x"] is not None and raw["pcost"] is not None:
             obj = raw["pcost"] * scale

@@ -106,10 +106,10 @@ def normalize_and_score(days, weights=None) -> list:
 
 
 def _window_sums(days, window_days):
-    """(first date, W-day window sums by start, whether each window
-    holds a scored day) over the scored calendar span, padded with
-    zero-stress days to at least one window (window_hours clips a
-    window to the horizon)."""
+    """(first date, W-day window sums by start, whether each day is
+    scored) over the scored calendar span, padded with zero-stress days
+    to at least one window (window_hours clips a window to the
+    horizon)."""
     if window_days < 1:
         raise ValueError("window length must be >= 1 day")
     if not days:
@@ -121,12 +121,10 @@ def _window_sums(days, window_days):
     first = dates.min()
     k = (dates - first).astype(int)
     s = np.zeros(max(int(k.max()) + 1, window_days))
-    held = np.zeros(len(s))
+    scored = np.zeros(len(s), dtype=bool)
     s[k] = [d.score for d in days]
-    held[k] = 1.0
-    ones = np.ones(window_days)
-    return (first, np.convolve(s, ones, mode="valid"),
-            np.convolve(held, ones, mode="valid") > 0)
+    scored[k] = True
+    return first, np.convolve(s, np.ones(window_days), mode="valid"), scored
 
 
 def select_worst_window(days, window_days=DEFAULT_WINDOW_DAYS) \
@@ -144,26 +142,32 @@ def select_worst_window(days, window_days=DEFAULT_WINDOW_DAYS) \
 
 
 def rank_windows(days, window_days=DEFAULT_WINDOW_DAYS) -> list:
-    """Non-overlapping windows in descending stress order.
+    """Windows in descending stress order that together hold every
+    scored day.
 
-    Greedy scan of all window positions by (score desc, start asc),
-    skipping windows that hold no scored day. A window of violating
-    days that all score 0 (min-max scoring gives the mildest day 0) is
-    still ranked, after every window of positive stress, so
-    backtracking can reach every violating day a window can hold.
-    Supplies the backtracking sequence: element 0 is
-    select_worst_window's choice.
+    Two scans of all window positions by (score desc, start asc). The
+    first takes each window that holds a scored day and overlaps no
+    window taken before: a non-overlapping prefix. The second appends
+    each window that holds a scored day no ranked window holds yet,
+    even if it overlaps earlier ones (monitored hours are a union, so
+    an overlap costs nothing). So backtracking can reach every violating
+    day, including one min-max scoring puts at 0 and one at the edge of
+    the calendar. Element 0 is select_worst_window's choice.
     """
-    first, sums, held = _window_sums(days, window_days)
-    taken = np.zeros(len(sums) + window_days - 1, dtype=bool)
+    first, sums, scored = _window_sums(days, window_days)
+    taken = np.zeros(len(scored), dtype=bool)
+    order = sorted(range(len(sums)), key=lambda k: (-sums[k], k))
     out = []
-    for k in sorted(range(len(sums)), key=lambda k: (-sums[k], k)):
-        if not held[k] or taken[k:k + window_days].any():
-            continue
-        taken[k:k + window_days] = True
-        start = first + k
-        out.append(CriticalWindow(start, start + (window_days - 1),
-                                  window_days, float(sums[k])))
+    for disjoint in (True, False):
+        for k in order:
+            w = slice(k, k + window_days)
+            if (disjoint and taken[w].any()) or \
+                    not (scored[w] & ~taken[w]).any():
+                continue
+            taken[w] = True
+            start = first + k
+            out.append(CriticalWindow(start, start + (window_days - 1),
+                                      window_days, float(sums[k])))
     return out
 
 

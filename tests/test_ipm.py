@@ -5,12 +5,17 @@ the textbook formulas, on a layout that interleaves cone sizes (so runs
 of equal sizes alternate). An orthant entry is the size-1 case of the
 same formulas. The dense KKT solve is checked against an explicitly
 formed [H A'; A 0] and against the sparse solve of the same system.
+On a scaling whose (W'W)^{-1} is about 1e-6 the sparse solve's shifted
+factor misses its refinement tolerance; the solve then factors K once
+with partial pivoting, matches the explicit solve, and gives the same
+bits whatever was factored before.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bessplan._ipm import Cones, _kkt_dense, _kkt_sparse
 
@@ -176,3 +181,42 @@ def test_dense_kkt_rejects_an_empty_equality_row(cone):
     A = sp.vstack([A, sp.csr_matrix((1, A.shape[1]))]).tocsr()
     with pytest.raises(ArithmeticError, match="singular"):
         _kkt_dense(G, A, cone, G.T.tocsr())(cone.identity_w())
+
+
+def test_sparse_kkt_escalates_to_one_pivoted_lu(cone, monkeypatch):
+    rng = np.random.default_rng(6)
+    G, A = kkt_system(cone, rng)
+    n, p = G.shape[1], A.shape[0]
+    Gd, Ad = G.toarray(), A.toarray()
+    bx, by, bz = (rng.standard_normal(k) for k in (n, p, cone.cdim))
+
+    def scaled(W, f):
+        return {"d": W["d"] * f, "di": W["di"] / f,
+                "beta": [b * f for b in W["beta"]], "v": W["v"]}
+
+    W, other = (scaled(cone.compute_scaling(interior(rng, cone),
+                                            interior(rng, cone))[0], 1e3)
+                for _ in range(2))
+    real = spla.splu
+    calls = []
+    monkeypatch.setattr(spla, "splu",
+                        lambda M, **kw: calls.append(kw) or real(M, **kw))
+    solve = _kkt_sparse(G, A, cone)(W)
+    x, y, zhat = solve(bx, by, bz)
+    # the shifted diagonal-pivot factor, then K's own partial-pivoting LU
+    assert [kw.get("diag_pivot_thresh") for kw in calls] == [0.0, None]
+    assert calls[1] == {}
+    solve(2.0 * bx, by, bz)  # a later solve of the same K factors nothing
+    assert len(calls) == 2
+    Wm = w_matrix(cone, W)
+    B = np.linalg.inv(Wm.T @ Wm)
+    K = np.block([[Gd.T @ B @ Gd, Ad.T], [Ad, np.zeros((p, p))]])
+    ref = np.linalg.solve(K, np.concatenate([bx + Gd.T @ B @ bz, by]))
+    sol = np.concatenate([x, y])
+    assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
+    # no LU of an earlier scaling reaches this one's solve
+    factor = _kkt_sparse(G, A, cone)
+    factor(other)(bx, by, bz)
+    again = factor(W)(bx, by, bz)
+    for a, b in zip((x, y, zhat), again):
+        assert np.array_equal(a, b)

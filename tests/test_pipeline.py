@@ -23,13 +23,18 @@ longer one exits 1 when the round cap stops it; without the cap,
 backtracking monitors the longer sag, although it scores 0, and passes.
 A horizon that starts at 06:00 certifies its sized calendar day, and a
 seven-day window over three violating days of a ten-day horizon is
-sized and passes.
+sized and passes. A run fed the distributions the `scenarios` command
+wrote writes the reports of a run that fits them itself, and the
+"year" economics scope prices the whole horizon, not the window. The
+sizing root of a storage cap far below the need reads `stalled`: its
+interior point stops early, not at the iteration limit.
 """
 
 import csv
 import io
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -37,8 +42,9 @@ import pytest
 
 from bessplan import oep
 from bessplan.netmodel import LoadProfileSet, load_network
-from bessplan.oep import VALIDATION_TOL
-from bessplan.pipeline import load_config, main
+from bessplan.oep import VALIDATION_TOL, BessPlan
+from bessplan.pipeline import (_overlaid_profiles, load_config, main,
+                               read_tariff)
 from bessplan.scenarios import (generate_annual, overlay_penetration,
                                 read_distributions)
 
@@ -257,18 +263,19 @@ def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
     assert not (tmp_path / "out").exists()
 
 
-def sizing_nodes(monkeypatch):
-    """Node counts of the sizing solves of the runs that follow."""
+def sizing_solves(monkeypatch):
+    """(status, node count) of the sizing solves of the runs that
+    follow."""
     real = oep.solve_misocp
-    nodes = []
+    solves = []
 
     def spy(prog, cfg=None, trace=None):
         res = real(prog, cfg, trace)
-        nodes.append(res.iterations)
+        solves.append((res.status, res.iterations))
         return res
 
     monkeypatch.setattr(oep, "solve_misocp", spy)
-    return nodes
+    return solves
 
 
 @pytest.mark.parametrize("e_max_kwh", [0.1, 1.0, 10.0, 30.0])
@@ -278,18 +285,20 @@ def test_unfixable_violations_exit_three(line_inputs, tmp_path, capsys,
     # the evening peak needs more than 30 kWh at the far end. Without a
     # minimum unit size sizing declares no binary, so the node cap never
     # binds: the root relaxation alone ends without a plan, whether
-    # infeasible or stalled, and the full-capacity check names the hours
+    # infeasible or stalled, and the full-capacity check names the hours.
+    # Here the interior point stops early, on a breakdown or a singular
+    # KKT matrix well before its 100 iterations, and says so
     doc["bess"] = {"e_max_kwh": e_max_kwh}
     doc["solver"] = {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 100}
     path = line_inputs / "small_bess.json"
     path.write_text(json.dumps(doc))
-    nodes = sizing_nodes(monkeypatch)
+    solves = sizing_solves(monkeypatch)
     assert main(["run", "--config", str(path), "--out",
                  str(tmp_path / "out"), "--seed", "3"]) == 3
     assert "[plan] violations cannot be fixed within the capacity caps; " \
         "binding hours: [17, 18, 19]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    assert nodes == [1]
+    assert solves == [("stalled", 1)]
 
 
 def test_config_keys_mirror_pvm_config(line_inputs):
@@ -325,13 +334,13 @@ def test_zero_margin_sizing_is_one_relaxation(line_inputs, tmp_path,
     doc["solver"] = {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 1}
     path = line_inputs / "zero_margin.json"
     path.write_text(json.dumps(doc))
-    nodes = sizing_nodes(monkeypatch)
+    solves = sizing_solves(monkeypatch)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out),
                  "--seed", "3"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "pass" and summary["plan_gap"] == 0.0
-    assert summary["total_capacity_kwh"] > 0 and nodes == [1]
+    assert summary["total_capacity_kwh"] > 0 and solves == [("optimal", 1)]
 
 
 def test_failed_validation_exits_one(tmp_path):
@@ -413,3 +422,58 @@ def test_window_longer_than_the_violating_days(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "pass" and summary["rounds"] == 1
     assert summary["certified_days"] == 7
+
+
+def test_distributions_file_replaces_the_fit(line_inputs, line_runs,
+                                             tmp_path):
+    # the distributions the scenarios command writes, fed back through
+    # the config, give the reports of a run that fits them itself
+    scen = tmp_path / "scen"
+    assert main(["scenarios", "--config", str(line_inputs / "config.json"),
+                 "--out", str(scen), "--seed", "3"]) == 0
+    doc = json.loads((line_inputs / "config.json").read_text())
+    doc["distributions"] = str(scen / "distributions.json")
+    path = line_inputs / "fitted.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out),
+                 "--seed", "3"]) == 0
+    ref = line_runs["run", "a"][1]
+    names = sorted(p.name for p in ref.iterdir())
+    assert names == sorted(p.name for p in out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_year_scope_prices_the_whole_horizon(tmp_path):
+    # a 48 h horizon sized on a one-day window: economics_scope "year"
+    # prices both days, the storage-free one and the plan's alike
+    day = np.where((np.arange(24) >= 17) & (np.arange(24) < 20), 1.0, 0.5)
+    config = write_line_inputs(tmp_path, np.tile(day, 2), {
+        "scenarios": {"n": 4, "daily_prob": 0.9, "penetration": 0.5},
+        "stat": {"window_days": 1}, "economics_scope": "year"})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 "--seed", "3"]) == 0
+    with open(out / "verdicts.csv", newline="") as fh:
+        assert [r["monitored_hours"] for r in csv.DictReader(fh)] == ["24"]
+    cfg = load_config(config)
+    cfg = replace(cfg, scenarios=replace(cfg.scenarios, seed=3))
+    net = load_network(cfg.network)
+    profiles = _overlaid_profiles(cfg, net,
+                                  LoadProfileSet.from_csv(cfg.profiles))[0]
+    tariff = read_tariff(cfg.tariff, profiles.hour_of_day)
+    with open(out / "plan.csv", newline="") as fh:
+        caps = {int(r["bus"]): float(r["capacity_kwh"])
+                for r in csv.DictReader(fh)}
+    empty = BessPlan.empty(spec=cfg.bess)
+    runs = [oep.tou_dispatch(net, profiles, plan_, tariff, cfg=cfg.solver)
+            for plan_ in (empty, replace(empty, capacity_kwh=caps))]
+    assert [[d.hours for d in r.days] for r in runs] == \
+        [[tuple(range(24)), tuple(range(24, 48))]] * 2
+    with open(out / "economics.csv", newline="") as fh:
+        (row,) = list(csv.reader(fh))[1:]
+    assert row[0] == "year"
+    # cost and losses without, then with, storage
+    assert [float(row[k]) for k in (1, 2, 5, 6)] == \
+        [runs[0].cost, runs[1].cost, runs[0].losses_kwh, runs[1].losses_kwh]

@@ -190,14 +190,30 @@ class TestRankWindows:
         assert [w.start for w in wins[:2]] == [D0, D0 + 3]
 
     def test_windows_never_overlap(self):
+        # the greedy prefix never overlaps; every later window overlaps an
+        # earlier one and brings a day no earlier window holds, until
+        # every scored day lies in a ranked window
         rng = np.random.default_rng(5)
         days = scored(list(rng.uniform(0, 1, 50)))
         wins = rank_windows(days, 7)
         used = set()
-        for w in wins:
+        prefix = 0
+        for k, w in enumerate(wins):
             span = {w.start + i for i in range(7)}
-            assert not span & used
+            if not span & used:
+                assert prefix == k
+                prefix += 1
+            assert span - used
             used |= span
+        assert 0 < prefix < len(wins)
+        assert {d.date for d in days} <= used
+
+    def test_overlapping_window_reaches_an_edge_day(self):
+        # the disjoint scan takes days 1-2 and no disjoint window holds
+        # day 3, so an overlapping window must
+        wins = rank_windows(scored([1.0, 1.0, 0.5]), 2)
+        assert [(w.start, w.end, w.score) for w in wins] == \
+            [(D0, D0 + 1, 2.0), (D0 + 1, D0 + 2, 1.5)]
 
     def test_matches_masking_oracle(self):
         rng = np.random.default_rng(31)
@@ -226,8 +242,19 @@ class TestRankWindows:
                     break
                 expect.append((D0 + k, float(sums[k])))
                 s[k:k + W] = np.nan
-            assert [(w.start, pytest.approx(w.score)) for w in got] == \
-                expect
+            # the oracle is the disjoint prefix; the tail covers the
+            # logged days the prefix leaves out, each window a new one
+            assert [(w.start, pytest.approx(w.score))
+                    for w in got[:len(expect)]] == expect
+            covered = np.zeros(30, dtype=bool)
+            for k, w in enumerate(got):
+                span = np.zeros(30, dtype=bool)
+                start = int((w.start - D0).astype(int))
+                span[start:start + W] = True
+                assert (span & logged & ~covered).any()
+                assert k < len(expect) or (span & covered).any()
+                covered |= span
+            assert not (logged & ~covered).any()
 
 
 class TestWindowHours:

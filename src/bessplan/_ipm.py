@@ -500,9 +500,11 @@ def conelp(c, G, h, dims, A, b, feastol=1e-8, abstol=1e-8, reltol=1e-8,
     An 'unknown' result says in 'reason' why the search stopped:
     'max-iters', 'stall' (a merit plateau or relapse after near
     convergence), 'breakdown' (a non-finite merit) or 'singular-kkt'.
-    The problem data is Ruiz-equilibrated internally; the reported pres
-    and dres refer to the scaled system, while x, y, s, z and the cost
-    values are always in original units.
+    A search that stops early returns its best iterate, with that
+    iterate's residuals and costs; 'iterations' always counts the
+    iterations run. The problem data is Ruiz-equilibrated internally;
+    the reported pres and dres refer to the scaled system, while x, y,
+    s, z and the cost values are always in original units.
 
     The endgame of the embedding can break down in floating point one or
     two iterations past the requested tolerances; intermediate overflow
@@ -642,8 +644,8 @@ def _conelp(c, G, h, dims, A, b, feastol, abstol, reltol, maxiters):
         # breakdown, so stop instead of burning the remaining iterations.
         merit = max(pres, dres, relgap if relgap is not None else gap)
         bad = not np.isfinite(merit)
-        snap = dict(iterations=iters, pcost=pcost, dcost=dcost, gap=gap,
-                    relgap=relgap, pres=pres, dres=dres)
+        snap = dict(pcost=pcost, dcost=dcost, gap=gap, relgap=relgap,
+                    pres=pres, dres=dres)
         if best is None or (not bad and merit < best[0]):
             best = (merit, (x / tau, y / tau, s / tau, z / tau), snap)
             last_gain = iters
@@ -655,10 +657,11 @@ def _conelp(c, G, h, dims, A, b, feastol, abstol, reltol, maxiters):
                 and (bs["gap"] <= 100 * abstol or
                      (bs["relgap"] is not None and bs["relgap"] <= 100 * reltol))
             if near:
-                return result("optimal", *best[1], **bs)
+                return result("optimal", *best[1], iterations=iters, **bs)
             reason = "breakdown" if bad else "stall" if stalled \
                 else "max-iters"
-            return result("unknown", *best[1], reason=reason, **bs)
+            return result("unknown", *best[1], iterations=iters,
+                          reason=reason, **bs)
 
         # Nesterov-Todd scaling of the current iterate.
         if iters == 0:

@@ -18,6 +18,9 @@ import scipy.sparse as sp
 
 from . import _ipm
 
+# a binary within INT_TOL of 0 or 1 is integral
+INT_TOL = 1e-6
+
 
 @dataclass
 class SolverConfig:
@@ -30,7 +33,6 @@ class SolverConfig:
     # heuristic and incumbent solves do not count
     node_limit: int = 20000
     max_iters: int = 100  # interior-point iterations per solve
-    int_tol: float = 1e-6  # integrality tolerance on binaries
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.cone_tol <= 0:
@@ -50,9 +52,6 @@ class SolveResult:
     gap: float | None = None  # relative MIP gap, None for pure relaxations
     max_residual: float = math.nan
     iterations: int = 0
-
-    def __getitem__(self, name):
-        return self.x[name]
 
 
 class ConicProgram:
@@ -309,11 +308,14 @@ def _status(raw):
     return _STATUS[raw["status"]]
 
 
-def solve_relaxation(prog: ConicProgram, cfg: SolverConfig | None = None) \
-        -> SolveResult:
-    """Solve with binaries relaxed to [0,1]. Deterministic."""
+def solve_relaxation(prog: ConicProgram, cfg: SolverConfig | None = None,
+                     fixes=None) -> SolveResult:
+    """Solve with binaries relaxed to [0,1] and the variables in fixes
+    ({name: value}) substituted as constants (_run_ipm); x covers every
+    variable, fixed ones at their exact values. Deterministic."""
     cfg = cfg or SolverConfig()
-    raw, scale = _run_ipm(prog, cfg)
+    raw, scale = _run_ipm(prog, cfg, {prog._idx(nm): v for nm, v in
+                                      (fixes or {}).items()})
     status = _status(raw)
     if raw["x"] is None:
         return SolveResult(status, math.inf, {}, None, math.inf,
@@ -329,9 +331,9 @@ def solve_relaxation(prog: ConicProgram, cfg: SolverConfig | None = None) \
     return SolveResult(status, obj, xs, None, res, raw["iterations"])
 
 
-def _heuristic_fixes(prog, relax_x, int_tol):
+def _heuristic_fixes(prog, relax_x):
     """Round binaries up from any strictly positive relaxation value."""
-    return {j: (1.0 if relax_x[j] > int_tol else 0.0) for j in prog._binary}
+    return {j: (1.0 if relax_x[j] > INT_TOL else 0.0) for j in prog._binary}
 
 
 def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
@@ -422,7 +424,7 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
             break
 
         # Choose the most fractional binary; integral point = incumbent.
-        best_j, best_frac = None, cfg.int_tol
+        best_j, best_frac = None, INT_TOL
         for j in binaries:
             if j in fixes:
                 continue
@@ -438,7 +440,7 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
             continue
 
         if nodes_done == 1:    # the root
-            try_incumbent(_heuristic_fixes(prog, xv, cfg.int_tol))
+            try_incumbent(_heuristic_fixes(prog, xv))
             if within_gap(bound):
                 stop = bound
                 break

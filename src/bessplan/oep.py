@@ -13,7 +13,9 @@ without one sizing is a single convex solve. plan() solves it (by
 branch-and-bound when there are flags, the only mixed-integer solve
 here), nets and audits the result, and when the solve returns no plan
 tells a window no capacity can fix from a solver failure. dispatch_day
-operates a fixed plan over one calendar day by one convex solve, with
+operates a fixed plan over one calendar day by one convex solve of the
+same storage model (_feeder builds both programs), its capacities
+substituted as constants as branch-and-bound substitutes a binary, with
 the voltage limits elastic when it validates, and reports the exact
 power flow (by sweep) of the netted schedule; a day without storage is
 that power flow alone. certify_day passes a day of the sized window on
@@ -148,69 +150,65 @@ class TouTariff:
         return max(hours) < len(self.prices) and min(hours) >= 0
 
 
-def _storage_block(prog, spec, bus, hours, k_pu, cap_name, p_extra,
-                   q_extra, bus_idx):
-    """Variables and rows for one storage unit over contiguous hours.
+def _storage_block(prog, spec, bus, hours, cap):
+    """Variables and rows for one storage unit over contiguous hours,
+    sized by the capacity variable cap; returns {hour: (Pch, Pdis, Qb)}.
 
-    cap_name is either the Ecap variable name (sizing mode) or a float
-    frozen capacity (dispatch mode). Returns the E-chain var names.
-    No binary gates charge and discharge, and no bound repeats a
-    capacity row: the schedule is netted after the solve
-    (_collect_dispatch).
+    Sizing leaves cap free; dispatch fixes it at the installed size,
+    substituted as branch-and-bound substitutes a binary
+    (solve_relaxation's fixes). No binary gates charge and discharge,
+    and no bound repeats a capacity row: the schedule is netted after
+    the solve (_collect_dispatch).
     """
-    sized = isinstance(cap_name, str)
-
-    def cap_coeff(coeffs, factor, rhs=0.0):
-        """coeffs + (-factor * capacity) <= rhs, folding constants."""
-        if sized:
-            coeffs[cap_name] = coeffs.get(cap_name, 0.0) - factor
-            prog.add_ineq(coeffs, rhs)
-        else:
-            prog.add_ineq(coeffs, rhs + factor * cap_name)
-
+    out = {}
     e_prev = None
-    e_names = []
     for t in hours:
         pch = prog.add_var(f"Pch[{bus},{t}]", lb=0.0)
         pdis = prog.add_var(f"Pdis[{bus},{t}]", lb=0.0)
         qb = prog.add_var(f"Qb[{bus},{t}]")    # the capacity rows bound it
-        # the SOC band rows bound E; at a fixed capacity the upper one is
-        # E's own bound
-        e = prog.add_var(f"E[{bus},{t}]",
-                         ub=None if sized else spec.soc_max * cap_name)
-        e_names.append(e)
-
-        cap_coeff({pch: 1.0}, spec.c_rate_ch)
-        cap_coeff({pdis: 1.0}, spec.c_rate_dis)
-        cap_coeff({qb: 1.0}, spec.kq_inj)
-        cap_coeff({qb: -1.0}, spec.kq_abs)
-        if sized:
-            cap_coeff({e: 1.0}, spec.soc_max)
-        cap_coeff({e: -1.0}, -spec.soc_min)
-
+        e = prog.add_var(f"E[{bus},{t}]")      # and the SOC band rows E
+        for coeffs, factor in (({pch: 1.0}, spec.c_rate_ch),
+                               ({pdis: 1.0}, spec.c_rate_dis),
+                               ({qb: 1.0}, spec.kq_inj),
+                               ({qb: -1.0}, spec.kq_abs),
+                               ({e: 1.0}, spec.soc_max),
+                               ({e: -1.0}, -spec.soc_min)):
+            prog.add_ineq({**coeffs, cap: -factor}, 0.0)
         dyn = {e: 1.0, pch: -spec.eta_ch, pdis: 1.0 / spec.eta_dis}
         if e_prev is None:
-            if sized:
-                dyn[cap_name] = -spec.soc_initial
-                prog.add_eq(dyn, 0.0)
-            else:
-                prog.add_eq(dyn, spec.soc_initial * cap_name)
+            dyn[cap] = -spec.soc_initial
         else:
             dyn[e_prev] = -1.0
-            prog.add_eq(dyn, 0.0)
+        prog.add_eq(dyn, 0.0)
         e_prev = e
+        out[t] = (pch, pdis, qb)
+    prog.add_eq({e_prev: 1.0, cap: -spec.soc_initial}, 0.0)
+    return out
 
-        p_extra.setdefault(t, {}).setdefault(bus_idx, {})
-        p_extra[t][bus_idx][pch] = -k_pu
-        p_extra[t][bus_idx][pdis] = k_pu
-        q_extra.setdefault(t, {}).setdefault(bus_idx, {})
-        q_extra[t][bus_idx][qb] = k_pu
 
-    if sized:
-        prog.add_eq({e_prev: 1.0, cap_name: -spec.soc_initial}, 0.0)
-    else:
-        prog.add_eq({e_prev: 1.0}, spec.soc_initial * cap_name)
-    return e_names
+def _feeder(prog, net, profiles, runs, caps, spec, v_bounds=None):
+    """Branch-flow hour blocks over every hour of runs, with one storage
+    chain per run for each unit of caps ({bus: capacity variable})
+    injecting at its bus; returns {hour: that hour's v names}.
+
+    v_bounds, if given, is _hour_block's (v_lo_sq, v_hi_sq).
+    """
+    k_pu = net.to_pu_power(1.0)
+    p_extra, q_extra = {}, {}
+    for b, cap in caps.items():
+        i = net.idx[b]
+        for run in runs:
+            for t, (pch, pdis, qb) in \
+                    _storage_block(prog, spec, b, run, cap).items():
+                p_extra.setdefault(t, {})[i] = {pch: -k_pu, pdis: k_pu}
+                q_extra.setdefault(t, {})[i] = {qb: k_pu}
+    p_kw, q_kvar = profiles.aligned(net)
+    return {t: _hour_block(prog, net, net.to_pu_power(p_kw[t]),
+                           net.to_pu_power(q_kvar[t]), t,
+                           net.slack_v(t) ** 2, v_bounds=v_bounds,
+                           p_extra=p_extra.get(t),
+                           q_extra=q_extra.get(t))[0]
+            for run in runs for t in run}
 
 
 def _anchor_binaries(prog, obj):
@@ -256,11 +254,8 @@ def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
     if len(set(candidates)) != len(candidates):
         raise ValueError("duplicate candidate buses")
     runs = profiles.days(hours)
-    flat_hours = [t for run in runs for t in run]
-    p_kw, q_kvar = profiles.aligned(net)
 
     prog = ConicProgram(f"toep-{net.name}")
-    k_pu = net.to_pu_power(1.0)
     obj = {}
     caps = {}
     for b in candidates:
@@ -271,21 +266,8 @@ def build_toep(net: Network, profiles: LoadProfileSet, hours, candidates,
             prog.add_ineq({cap: 1.0, z: -spec.e_max_kwh}, 0.0)
         obj[cap] = spec.c_cap_per_kwh
         caps[b] = cap
-
-    p_extra = {}
-    q_extra = {}
-    for b in candidates:
-        for run in runs:
-            _storage_block(prog, spec, b, run, k_pu, caps[b], p_extra,
-                           q_extra, net.idx[b])
-
-    vb = (net.v_lower ** 2, net.v_upper ** 2)
-    for t in flat_hours:
-        p_pu = net.to_pu_power(p_kw[t])
-        q_pu = net.to_pu_power(q_kvar[t])
-        _hour_block(prog, net, p_pu, q_pu, t, net.slack_v(t) ** 2,
-                    v_bounds=vb, p_extra=p_extra.get(t),
-                    q_extra=q_extra.get(t))
+    _feeder(prog, net, profiles, runs, caps, spec,
+            v_bounds=(net.v_lower ** 2, net.v_upper ** 2))
     _anchor_binaries(prog, obj)
     prog.minimize(obj)
     prog._meta = {
@@ -505,8 +487,9 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
     the slack injection. Cyclic SOC anchored at soc_initial. Only the
     installed units (capacity above AUDIT_TOL) get variables.
 
-    The day is one convex solve, whose schedule is netted hour by hour
-    at unchanged stored energy (_collect_dispatch). That only lowers the
+    The day is one convex solve of sizing's storage and flow model
+    (_feeder) at the fixed capacities, whose schedule is netted hour by
+    hour at unchanged stored energy (_collect_dispatch). That only lowers the
     load, so with prices >= 0 the netted schedule also reaches the
     relaxation's bound. Voltages, losses and cost are the exact radial
     power flow of that schedule (Farivar & Low, IEEE TPWRS 2013), the
@@ -526,24 +509,15 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
     if len(runs) != 1:
         raise ValueError("dispatch_day needs contiguous hours of one day")
     hours = runs[0]
-    p_kw, q_kvar = profiles.aligned(net)
     active = {b: c for b, c in capacity_kwh.items() if c > AUDIT_TOL}
     if not active:
         return _flow_day(net, profiles, hours, prices, {})
 
     prog = ConicProgram(f"dispatch-{net.name}-{hours[0]}")
-    k_pu = net.to_pu_power(1.0)
-    p_extra = {}
-    q_extra = {}
-    for b, cap in active.items():
-        _storage_block(prog, spec, b, hours, k_pu, float(cap), p_extra,
-                       q_extra, net.idx[b])
+    caps = {b: prog.add_var(f"Ecap[{b}]") for b in active}
     obj = {}
     unit = 1.0 / VIOLATION_PENALTY    # v^2 bought by one unit of slack
-    for t in hours:
-        v = _hour_block(prog, net, net.to_pu_power(p_kw[t]),
-                        net.to_pu_power(q_kvar[t]), t, net.slack_v(t) ** 2,
-                        p_extra=p_extra.get(t), q_extra=q_extra.get(t))[0]
+    for t, v in _feeder(prog, net, profiles, [hours], caps, spec).items():
         if v_limits is not None:
             for i in range(net.n_bus):
                 if i != net.slack:
@@ -560,7 +534,8 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
             obj[f"Ps[{t}]"] = float(prices[t]) * 1000.0 * net.s_base_mva
     prog.minimize(obj)
 
-    res = solve_relaxation(prog, cfg)
+    res = solve_relaxation(prog, cfg,
+                           fixes={caps[b]: c for b, c in active.items()})
     if res.status == "infeasible":
         raise PlanError(f"dispatch infeasible on day starting hour "
                         f"{hours[0]}", hours)

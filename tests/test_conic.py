@@ -97,7 +97,7 @@ class TestRelaxation:
         prog.minimize({l: 1.0})
         res = solve_relaxation(prog)
         assert res.status == "optimal"
-        assert abs(res["l"] - 1.0) <= 1e-6
+        assert abs(res.x["l"] - 1.0) <= 1e-6
         assert res.max_residual <= 1e-6
 
     def test_infeasible_reported_not_raised(self):
@@ -143,6 +143,44 @@ class TestRelaxation:
         assert a.objective == b.objective
         assert a.x == b.x
 
+    def test_fixes_equal_the_program_with_constants_folded(self):
+        def unit(cap=None):
+            """Two outputs within rates of a capacity that an energy row
+            also holds, their squares as losses; cap, if given, is
+            folded into the right-hand sides by hand."""
+            prog = ConicProgram()
+            one = prog.add_var("one", lb=1.0, ub=1.0)
+            p0 = prog.add_var("p0", lb=0.0)
+            p1 = prog.add_var("p1", lb=0.0)
+            e = prog.add_var("e", lb=0.0)
+            loss = prog.add_var("l", lb=0.0)
+            obj = {loss: 1.0, e: 0.1}
+            if cap is None:
+                c = prog.add_var("cap", lb=0.0, ub=10.0)
+                prog.add_ineq({p0: 1.0, c: -0.5}, 0.0)
+                prog.add_ineq({p1: 1.0, c: -0.3}, 0.0)
+                prog.add_eq({e: 1.0, p0: -1.0, p1: 1.0, c: -0.25}, 0.0)
+                obj[c] = 0.5
+            else:
+                prog.add_ineq({p0: 1.0}, 0.5 * cap)
+                prog.add_ineq({p1: 1.0}, 0.3 * cap)
+                prog.add_eq({e: 1.0, p0: -1.0, p1: 1.0}, 0.25 * cap)
+            prog.add_ineq({p0: -1.0, p1: -1.0}, -1.5)
+            prog.add_rotated_cone(one, loss, [p0, p1])
+            prog.minimize(obj)
+            return prog
+
+        cap = 2.7
+        fixed = solve_relaxation(unit(), fixes={"cap": cap})
+        folded = solve_relaxation(unit(cap))
+        assert fixed.status == folded.status == "optimal"
+        assert set(fixed.x) == set(folded.x) | {"cap"}
+        assert fixed.x["cap"] == cap
+        for name, value in folded.x.items():
+            assert abs(fixed.x[name] - value) <= 1e-9
+        assert abs(fixed.objective - (folded.objective + 0.5 * cap)) <= 1e-9
+        assert fixed.max_residual <= 1e-6
+
 
 class TestMISOCP:
     def test_commitment_threshold_forces_binary(self):
@@ -159,7 +197,7 @@ class TestMISOCP:
         res = solve_misocp(prog)
         assert res.status == "optimal"
         assert abs(res.objective - 0.3) <= 1e-6
-        assert res["z"] == 1.0
+        assert res.x["z"] == 1.0
         assert res.gap <= 0.001
         assert res.max_residual <= 1e-6
 
@@ -303,8 +341,8 @@ class TestMISOCP:
         prog.minimize({z: 1.0, w: 0.01})
         res = solve_misocp(prog, SolverConfig(feas_tol=1e-7, cone_tol=1e-7))
         assert res.status == "optimal"
-        assert res["z"] == 0.0
-        assert abs(res["y"]) <= 1e-9
+        assert res.x["z"] == 0.0
+        assert abs(res.x["y"]) <= 1e-9
 
     def test_fixes_that_empty_a_row(self, monkeypatch):
         # a + b <= 1 and a - b == 0 hold only the fixed binaries; x <= a + b

@@ -128,18 +128,18 @@ class TestBuildStructure:
         # and its two gating rows: e_min_kwh * z <= Ecap <= e_max_kwh * z
         assert len(prog._ineqs) == 24 * 6 + 2
 
-    def test_fixed_capacity_bounds_energy_without_a_row(self):
-        # at a fixed capacity E <= soc_max * cap is E's own upper bound,
-        # so dispatch mode carries one SOC band row per hour, not two:
-        # per hour 4 capacity couplings + 1 SOC band row
-        spec = BessSpec()
-        prog = ConicProgram("fixed")
-        _storage_block(prog, spec, 2, list(range(24)), 1e-3, 400.0, {}, {},
-                       1)
-        assert len(prog._ineqs) == 24 * 5
+    def test_storage_rows_bound_every_storage_variable(self):
+        # one storage form for sizing and dispatch: the capacity rows
+        # bound power and stored energy, so no storage variable carries
+        # an upper bound: per hour 4 capacity couplings + 2 SOC band rows
+        prog = ConicProgram("block")
+        cap = prog.add_var("Ecap[2]")
+        blocks = _storage_block(prog, BessSpec(), 2, list(range(24)), cap)
+        assert list(blocks) == list(range(24))
+        assert blocks[5] == ("Pch[2,5]", "Pdis[2,5]", "Qb[2,5]")
+        assert len(prog._ineqs) == 24 * 6
         assert prog.binaries == ()
-        j = prog._index["E[2,5]"]
-        assert prog._ub[j] == spec.soc_max * 400.0
+        assert all(ub is None for ub in prog._ub)
 
     def test_gapped_window_gets_one_chain_per_day(self):
         net = feeder2()
@@ -177,11 +177,11 @@ class TestBuildStructure:
 def pinned_block(spec, pins, cap=400.0, hours=(0, 1)):
     """Standalone 2-hour storage chain with charge/discharge pinned."""
     prog = ConicProgram("chain")
-    _storage_block(prog, spec, 2, list(hours), 1e-3, float(cap), {}, {}, 1)
+    _storage_block(prog, spec, 2, list(hours), prog.add_var("Ecap[2]"))
     for name, val in pins.items():
         prog.add_eq({name: 1.0}, val)
     prog.minimize({})    # the pins and the cyclic closure fix every value
-    res = solve_relaxation(prog)
+    res = solve_relaxation(prog, fixes={"Ecap[2]": cap})
     assert res.status == "optimal"
     return res
 
@@ -207,16 +207,6 @@ class TestEnergyDynamics:
         assert res.x["E[2,1]"] == pytest.approx(200.0, abs=1e-6)
         # both conversions hit the round trip: 95 * 0.95 kW comes back
         assert res.x["Pdis[2,1]"] == pytest.approx(90.25, abs=1e-6)
-
-    def test_sizing_mode_has_capacity_variable(self):
-        net = feeder2()
-        profiles = LoadProfileSet.constant(net, "2024-06-01T00", 2)
-        prog = build_toep(net, profiles, [0, 1], [2], BessSpec())
-        assert "Ecap[2]" in prog._names
-        spec = BessSpec()
-        prog2 = ConicProgram("fixed")
-        _storage_block(prog2, spec, 2, [0, 1], 1e-3, 250.0, {}, {}, 1)
-        assert "Ecap[2]" not in prog2._names
 
 
 class TestZeroViolationPlan:

@@ -27,7 +27,8 @@ sized and passes. A run fed the distributions the `scenarios` command
 wrote writes the reports of a run that fits them itself, and the
 "year" economics scope prices the whole horizon, not the window. The
 sizing root of a storage cap far below the need reads `stalled`: its
-interior point stops early, not at the iteration limit.
+interior point stops early, not at the iteration limit, and reports
+the iterations it ran: one fewer than its KKT factorizations.
 """
 
 import csv
@@ -40,7 +41,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bessplan import oep
+from bessplan import _ipm, oep
 from bessplan.netmodel import LoadProfileSet, load_network
 from bessplan.oep import VALIDATION_TOL, BessPlan
 from bessplan.pipeline import (_overlaid_profiles, load_config, main,
@@ -299,6 +300,61 @@ def test_unfixable_violations_exit_three(line_inputs, tmp_path, capsys,
         "binding hours: [17, 18, 19]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert solves == [("stalled", 1)]
+
+
+def test_interior_point_reports_the_iterations_it_ran(line_inputs, tmp_path,
+                                                      monkeypatch):
+    # every interior-point solve factors its KKT matrix once for the
+    # starting point and once per iteration, so it reports one iteration
+    # fewer than it made factorizations, also when it stops early and
+    # returns an earlier, better iterate, as the stalled sizing root does
+    doc = json.loads((line_inputs / "config.json").read_text())
+    doc["bess"] = {"e_max_kwh": 10.0}
+    doc["solver"] = {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 100}
+    path = line_inputs / "count_iterations.json"
+    path.write_text(json.dumps(doc))
+    solves = []      # (in sizing, status, iterations, factorizations)
+    factored = [0]
+    sizing = [False]
+
+    def counted(real):
+        def factory(*args):
+            factor = real(*args)
+
+            def spy(W):
+                out = factor(W)
+                factored[0] += 1
+                return out
+            return spy
+        return factory
+
+    real_conelp = _ipm.conelp
+
+    def conelp(*args, **kw):
+        factored[0] = 0
+        raw = real_conelp(*args, **kw)
+        solves.append((sizing[0], raw["status"], raw["iterations"],
+                       factored[0]))
+        return raw
+
+    real_misocp = oep.solve_misocp
+
+    def misocp(*args, **kw):
+        sizing[0] = True
+        try:
+            return real_misocp(*args, **kw)
+        finally:
+            sizing[0] = False
+
+    for name in ("_kkt_dense", "_kkt_sparse"):
+        monkeypatch.setattr(_ipm, name, counted(getattr(_ipm, name)))
+    monkeypatch.setattr(_ipm, "conelp", conelp)
+    monkeypatch.setattr(oep, "solve_misocp", misocp)
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out"), "--seed", "3"]) == 3
+    root = [s for s in solves if s[0]]
+    assert len(root) == 1 and root[0][1] == "unknown"
+    assert all(iters == factors - 1 for _, _, iters, factors in solves)
 
 
 def test_config_keys_mirror_pvm_config(line_inputs):

@@ -18,8 +18,10 @@ same storage model (_feeder builds both programs), its capacities
 substituted as constants as branch-and-bound substitutes a binary, with
 the voltage limits elastic when it validates, and reports the exact
 power flow (by sweep) of the netted schedule; a day without storage is
-that power flow alone. certify_day passes a day of the sized window on
-the plan's own schedule and the power flow, without a solve.
+that power flow alone. A plan is its capacities plus the schedule it
+was sized with, every day of it anchored at soc_initial times the
+capacity; certify_day passes a day of the sized window on that schedule
+and a dispatched day's power flow (_flow_day), without a solve.
 tou_dispatch re-optimizes a fixed plan against an hourly tariff, day by
 day; a daily tariff pattern prices each row by its clock hour.
 
@@ -30,7 +32,7 @@ conversion factor so both live in one program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,18 +98,31 @@ class BessSpec:
 
 @dataclass
 class BessPlan:
+    """Capacities and the schedule they were sized with. Each day of the
+    schedule (a run of LoadProfileSet.days) starts and ends at
+    spec.soc_initial * capacity, where _storage_block anchors it."""
+
     buses: tuple              # candidate bus ids, declaration order
     hours: tuple              # absolute planning hours (possibly gapped)
-    installed: dict           # bus -> bool
     capacity_kwh: dict        # bus -> float
     charge_kw: dict           # bus -> (T,) array over self.hours
     discharge_kw: dict
     q_kvar: dict              # reactive output, > 0 injects, < 0 absorbs
     e_ess_kwh: dict           # end-of-hour stored energy
-    e_start_kwh: dict         # anchor energy at each window start
-    objective: float
     gap: float
     spec: BessSpec = field(default_factory=BessSpec)
+
+    @property
+    def installed(self):
+        """bus -> whether its capacity exceeds AUDIT_TOL."""
+        return {b: c > AUDIT_TOL for b, c in self.capacity_kwh.items()}
+
+    @property
+    def objective(self):
+        """Investment cost ($). The sizing solver's objective also
+        carries the binary tie-break anchor."""
+        return float(sum(self.spec.c_cap_per_kwh * c
+                         for c in self.capacity_kwh.values()))
 
     def total_capacity_kwh(self):
         return float(sum(self.capacity_kwh.values()))
@@ -116,11 +131,8 @@ class BessPlan:
     def empty(cls, buses=(), spec=None):
         """Zero-investment plan (screening found nothing to fix)."""
         z = np.zeros(0)
-        return cls(tuple(buses), (), {b: False for b in buses},
-                   {b: 0.0 for b in buses}, {b: z for b in buses},
-                   {b: z for b in buses}, {b: z for b in buses},
-                   {b: z for b in buses},
-                   {b: 0.0 for b in buses}, 0.0, 0.0,
+        return cls(tuple(buses), (), dict.fromkeys(buses, 0.0),
+                   *({b: z for b in buses} for _ in range(4)), 0.0,
                    spec or BessSpec())
 
 
@@ -300,23 +312,25 @@ def _collect_dispatch(res, buses, hours, spec):
     return out
 
 
-def audit_plan(plan: BessPlan, spec: BessSpec, runs):
-    """Physical consistency checks on an extracted plan.
+def audit_plan(plan: BessPlan, runs):
+    """Physical consistency checks on an extracted plan under plan.spec,
+    each run replayed from the anchor soc_initial * capacity.
 
     Raises AuditError on: simultaneous charge/discharge, dispatch at
     uninstalled buses, SOC band escapes, energy dynamics replay drift
     beyond AUDIT_TOL, or broken cyclic closure.
     """
+    spec = plan.spec
     pos = {t: k for k, t in enumerate(plan.hours)}
     for b in plan.buses:
         cap = plan.capacity_kwh[b]
+        anchor = spec.soc_initial * cap
         ch, dis = plan.charge_kw[b], plan.discharge_kw[b]
         e = plan.e_ess_kwh[b]
-        if not plan.installed[b]:
-            if cap > AUDIT_TOL or any(
-                    np.max(np.abs(a), initial=0.0) > AUDIT_TOL
-                    for a in (ch, dis, plan.q_kvar[b])):
-                raise AuditError(f"bus {b}: dispatch without installation")
+        if not plan.installed[b] and any(
+                np.max(np.abs(a), initial=0.0) > AUDIT_TOL
+                for a in (ch, dis, plan.q_kvar[b])):
+            raise AuditError(f"bus {b}: dispatch without installation")
         both = np.minimum(ch, dis)
         if both.size and both.max() > AUDIT_TOL:
             raise AuditError(f"bus {b}: simultaneous charge/discharge "
@@ -326,16 +340,16 @@ def audit_plan(plan: BessPlan, spec: BessSpec, runs):
                     e.max() > spec.soc_max * cap + AUDIT_TOL:
                 raise AuditError(f"bus {b}: stored energy outside SOC band")
         for run in runs:
-            prev = plan.e_start_kwh[b]
+            prev = anchor
             for t in run:
                 k = pos[t]
                 prev = prev + ch[k] * spec.eta_ch - dis[k] / spec.eta_dis
                 if abs(prev - e[k]) > AUDIT_TOL:
                     raise AuditError(f"bus {b} hour {t}: energy replay "
                                      f"drift {abs(prev - e[k]):.3e} kWh")
-            if abs(prev - plan.e_start_kwh[b]) > AUDIT_TOL:
+            if abs(prev - anchor) > AUDIT_TOL:
                 raise AuditError(f"bus {b}: window not cyclic "
-                                 f"({prev:.6f} vs {plan.e_start_kwh[b]:.6f})")
+                                 f"({prev:.6f} vs {anchor:.6f})")
 
 
 def _planning_config() -> SolverConfig:
@@ -362,21 +376,13 @@ def plan(prog: ConicProgram, cfg: SolverConfig | None = None) -> BessPlan:
 
     spec = meta["spec"]
     buses = meta["candidates"]
-    runs = meta["runs"]
-    hours = tuple(t for run in runs for t in run)
-    disp = _collect_dispatch(res, buses, hours, spec)
-    caps = {b: float(res.x[f"Ecap[{b}]"]) for b in buses}
-    installed = {b: caps[b] > AUDIT_TOL for b in buses}
-    # investment cost only; the solver objective also carries the
-    # binary tie-break anchor
-    cost = sum(spec.c_cap_per_kwh * c for c in caps.values())
+    hours = tuple(t for run in meta["runs"] for t in run)
     out = BessPlan(
-        buses=buses, hours=hours, installed=installed,
-        capacity_kwh=caps, objective=cost,
-        gap=res.gap,
-        e_start_kwh={b: spec.soc_initial * caps[b] for b in buses},
-        spec=spec, **disp)
-    audit_plan(out, spec, runs)
+        buses=buses, hours=hours,
+        capacity_kwh={b: float(res.x[f"Ecap[{b}]"]) for b in buses},
+        gap=res.gap, spec=spec,
+        **_collect_dispatch(res, buses, hours, spec))
+    audit_plan(out, meta["runs"])
     return out
 
 
@@ -413,57 +419,32 @@ def residuals(net, profiles, hours, v_sq):
         net.v_upper) if r.severity > VALIDATION_TOL]
 
 
-def _flow_with(net, profiles, hours, p_add=None, q_add=None):
-    """Exact power flow (v_sq, i_sq, P, Q) of the profiles over hours,
-    with p_add/q_add ({bus index: (H,) kW}) added to the net load.
-
-    Raises PowerFlowError where the feeder cannot carry that load: the
-    sweep finds no power flow, or a branch current exceeds its cap.
-    """
-    p_kw, q_kvar = profiles.aligned(net)
-    p, q = p_kw[hours].T, q_kvar[hours].T
-    for i, kw in (p_add or {}).items():
-        p[i] += kw
-    for i, kvar in (q_add or {}).items():
-        q[i] += kvar
-    flow = power_flow(net, p, q, [net.slack_v(t) for t in hours])
-    if np.any(flow[1] > net.i_sq_limit[:, None]):    # NaN: no cap
-        raise PowerFlowError("a branch current exceeds its cap")
-    return flow
-
-
 def certify_day(net, profiles, plan_: BessPlan, hours):
     """v_sq of the day's hours under the plan's own schedule, if that
     schedule holds the day; else None.
 
-    The day must lie inside plan_.hours with every unit's stored energy
-    at soc_initial * capacity (within AUDIT_TOL) at both ends, so that
-    the audited schedule is a feasible operation of dispatch_day's
-    daily-cyclic program. It holds the day when its exact power flow
-    keeps every voltage within VALIDATION_TOL of the limits and every
-    branch current within its cap.
+    The day must lie inside plan_.hours: a day of the sized window,
+    whose chain starts at soc_initial * capacity (audit_plan replays it
+    from there). It must end there too, within AUDIT_TOL, so that the
+    schedule is a feasible operation of dispatch_day's daily-cyclic
+    program. It holds the day when its exact power flow (_flow_day, as
+    for a dispatched day) keeps every voltage within VALIDATION_TOL of
+    the limits and every branch current within its cap.
     """
     hours = list(hours)
     pos = {t: k for k, t in enumerate(plan_.hours)}
     if not all(t in pos for t in hours):
         return None
     ks = [pos[t] for t in hours]
-    p_add, q_add = {}, {}
     for b in plan_.buses:
-        e = plan_.e_ess_kwh[b]
-        # the end of the previous hour, or the anchor of a run's start
-        start = e[pos[hours[0] - 1]] if hours[0] - 1 in pos \
-            else plan_.e_start_kwh[b]
         target = plan_.spec.soc_initial * plan_.capacity_kwh[b]
-        if abs(start - target) > AUDIT_TOL or \
-                abs(e[ks[-1]] - target) > AUDIT_TOL:
+        if abs(plan_.e_ess_kwh[b][ks[-1]] - target) > AUDIT_TOL:
             return None
-        i = net.idx[b]
-        p_add[i] = plan_.charge_kw[b][ks] - plan_.discharge_kw[b][ks]
-        q_add[i] = -plan_.q_kvar[b][ks]
+    storage = {f: {b: getattr(plan_, f)[b][ks] for b in plan_.buses}
+               for f in ("charge_kw", "discharge_kw", "q_kvar")}
     try:
-        v_sq = _flow_with(net, profiles, hours, p_add, q_add)[0]
-    except PowerFlowError:
+        v_sq = _flow_day(net, profiles, hours, None, storage).v_sq
+    except PlanError:
         return None
     return None if residuals(net, profiles, hours, v_sq) else v_sq
 
@@ -546,23 +527,29 @@ def dispatch_day(net, profiles, hours, capacity_kwh, spec, v_limits,
 
 
 def _flow_day(net, profiles, hours, prices, storage):
-    """The DayDispatch of a fixed storage schedule (dispatch_day's
-    storage dict, {} for none): its exact power flow, losses and cost
-    at the slack injection."""
-    p_add, q_add = {}, {}
-    for b in storage.get("charge_kw", {}):
+    """The DayDispatch of a fixed storage schedule ({} for none, else
+    _collect_dispatch's fields, at least charge_kw, discharge_kw and
+    q_kvar): its exact power flow, losses and cost at the slack
+    injection. Raises PlanError where the feeder cannot carry the load:
+    the sweep finds no power flow, or a branch current exceeds its cap.
+    """
+    p_kw, q_kvar = profiles.aligned(net)
+    p, q = p_kw[hours].T, q_kvar[hours].T
+    for b, kw in storage.get("charge_kw", {}).items():
         i = net.idx[b]
-        p_add[i] = storage["charge_kw"][b] - storage["discharge_kw"][b]
-        q_add[i] = -storage["q_kvar"][b]
+        p[i] += kw - storage["discharge_kw"][b]
+        q[i] -= storage["q_kvar"][b]
     try:
-        v_sq, i_sq, P, _ = _flow_with(net, profiles, hours, p_add, q_add)
+        v_sq, i_sq, P, _ = power_flow(net, p, q,
+                                      [net.slack_v(t) for t in hours])
+        if np.any(i_sq > net.i_sq_limit[:, None]):    # NaN: no cap
+            raise PowerFlowError("a branch current exceeds its cap")
     except PowerFlowError as exc:
         raise PlanError(f"dispatch infeasible on day starting hour "
                         f"{hours[0]}: {exc}", hours) from exc
     cost = 0.0
     if prices is not None:
         # the slack bus's own load plus the flows leaving it
-        p_kw = profiles.aligned(net)[0]
         p_slack = net.to_pu_power(p_kw[hours, net.slack]) + \
             P[net.down[net.slack]].sum(axis=0)
         cost = sum(float(prices[t]) * 1000.0 * net.s_base_mva * float(ps)

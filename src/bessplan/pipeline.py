@@ -373,7 +373,7 @@ def _overlaid_profiles(cfg, net, base):
     # the clock hour of the first profile row
     days = math.ceil((base.hour_of_day[0] + base.n_hours) / 24)
     scen = generate_annual(dist, sp.n, sp.daily_prob, seed=sp.seed,
-                           days=days, threads=cfg.threads)
+                           days=days)
     return overlay_penetration(net, base, scen, sp.penetration, sp.growth,
                                sp.seed), scen, dist
 
@@ -584,8 +584,8 @@ def emit_reports(report: PvmReport, outdir) -> dict:
                          for w in report.windows_used],
         "candidate_buses": list(report.candidates.buses)
         if report.candidates else [],
-        "plan_buses": sorted(b for b in (report.plan.installed or {})
-                             if report.plan.installed[b])
+        "plan_buses": sorted(b for b, on in report.plan.installed.items()
+                             if on)
         if report.plan else [],
         "total_capacity_kwh": report.plan.total_capacity_kwh()
         if report.plan else 0.0,

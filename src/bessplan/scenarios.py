@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import pmap
 from .netmodel import LoadProfileSet, Network, scale_profiles
 
 # Event rules on an hourly series: a session is a maximal run of hours
@@ -479,7 +478,7 @@ def _one_scenario(dist, daily_prob, seed, k, days):
     return series, tuple(events)
 
 
-def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365, threads=1):
+def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365):
     """Monte Carlo annual per-charger scenarios.
 
     A scenario series starts at midnight of its day 0, so its hour 24 is
@@ -489,8 +488,9 @@ def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365, threads=1):
     start hour, spilling into the next day when it runs past midnight (a
     session that would start while the previous one runs is delayed
     until it ends). Scenario k runs on its own RNG stream, seeded by
-    (seed, k), so results are identical whether built sequentially or
-    with a thread pool. Each stream draws, in order: one uniform per day
+    (seed, k), so it does not depend on the other scenarios drawn. The
+    work holds the interpreter lock, so the scenarios are drawn in turn.
+    Each stream draws, in order: one uniform per day
     (the charging coin flips), the (duration, energy) pairs of all
     charging days with their positivity redraws, then their start hours.
     For days == 1 this is the same stream as a day-by-day draw.
@@ -502,8 +502,8 @@ def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365, threads=1):
     if days < 1:
         raise ScenarioError(f"need at least one day, got {days}")
 
-    built = pmap(lambda k: _one_scenario(dist, daily_prob, seed, k, days),
-                 range(n_scenarios), threads)
+    built = [_one_scenario(dist, daily_prob, seed, k, days)
+             for k in range(n_scenarios)]
 
     series = np.vstack([s for s, _ in built])
     events = tuple(ev for _, ev in built)

@@ -193,9 +193,10 @@ def _extract_hour(net, res, t):
     return v, P, Q, L, res.x[f"Ps[{t}]"], res.x[f"Qs[{t}]"]
 
 
-def run_vva(net: Network, profiles: LoadProfileSet, hours=None,
+def run_vva(net: Network, profiles: LoadProfileSet,
             cfg: SolverConfig | None = None, threads: int = 1) -> FlowSolution:
-    """Solve each hour independently and concatenate the results.
+    """Solve each hour of the profiles independently and concatenate the
+    results.
 
     Raises on any infeasible hour. Cone slack above LOOSE_CONE_TOL is
     collected in loose_cones. Slack of that size is often the interior
@@ -205,13 +206,7 @@ def run_vva(net: Network, profiles: LoadProfileSet, hours=None,
     since the screening result is still usable for locating
     undervoltage.
     """
-    if hours is None:
-        hours = range(profiles.n_hours)
-    hours = [int(t) for t in hours]
-    if not hours:
-        raise ValueError("no hours requested")
-    if max(hours) >= profiles.n_hours or min(hours) < 0:
-        raise ValueError("profiles do not cover requested hours")
+    hours = range(profiles.n_hours)
     cfg = cfg or SolverConfig()
     p_kw, q_kvar = profiles.aligned(net)
     n, m = net.n_bus, net.n_branch

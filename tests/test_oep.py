@@ -356,52 +356,50 @@ class TestMinimalCapacity:
 
 
 def tiny_plan(**overrides):
-    spec = BessSpec()
     base = dict(
-        buses=(2,), hours=(0, 1), installed={2: True},
-        capacity_kwh={2: 100.0},
+        buses=(2,), hours=(0, 1), capacity_kwh={2: 100.0},
         charge_kw={2: np.zeros(2)}, discharge_kw={2: np.zeros(2)},
-        q_kvar={2: np.zeros(2)},
-        e_ess_kwh={2: np.full(2, 50.0)}, e_start_kwh={2: 50.0},
-        objective=0.0, gap=0.0, spec=spec)
+        q_kvar={2: np.zeros(2)}, e_ess_kwh={2: np.full(2, 50.0)},
+        gap=0.0, spec=BessSpec())
     base.update(overrides)
-    return BessPlan(**base), spec
+    return BessPlan(**base)
 
 
 class TestAuditPlan:
     def test_clean_plan_passes(self):
-        plan_, spec = tiny_plan()
-        audit_plan(plan_, spec, [[0, 1]])
+        plan_ = tiny_plan()
+        audit_plan(plan_, [[0, 1]])
 
     def test_simultaneous_charge_discharge(self):
-        plan_, spec = tiny_plan(charge_kw={2: np.array([50.0, 0.0])},
-                                discharge_kw={2: np.array([50.0, 0.0])})
+        plan_ = tiny_plan(charge_kw={2: np.array([50.0, 0.0])},
+                          discharge_kw={2: np.array([50.0, 0.0])})
         with pytest.raises(AuditError, match="simultaneous"):
-            audit_plan(plan_, spec, [[0, 1]])
+            audit_plan(plan_, [[0, 1]])
 
     def test_dispatch_without_installation(self):
-        plan_, spec = tiny_plan(installed={2: False})
+        plan_ = tiny_plan(capacity_kwh={2: 0.0},
+                          charge_kw={2: np.array([1.0, 0.0])})
         with pytest.raises(AuditError, match="installation"):
-            audit_plan(plan_, spec, [[0, 1]])
+            audit_plan(plan_, [[0, 1]])
 
     def test_soc_band_escape(self):
-        plan_, spec = tiny_plan(
+        plan_ = tiny_plan(
             charge_kw={2: np.array([45.0 / 0.95, 0.0])},
             discharge_kw={2: np.array([0.0, 45.0 * 0.95])},
             e_ess_kwh={2: np.array([95.0, 50.0])})
         with pytest.raises(AuditError, match="SOC band"):
-            audit_plan(plan_, spec, [[0, 1]])
+            audit_plan(plan_, [[0, 1]])
 
     def test_energy_replay_drift(self):
-        plan_, spec = tiny_plan(e_ess_kwh={2: np.array([60.0, 50.0])})
+        plan_ = tiny_plan(e_ess_kwh={2: np.array([60.0, 50.0])})
         with pytest.raises(AuditError, match="replay drift"):
-            audit_plan(plan_, spec, [[0, 1]])
+            audit_plan(plan_, [[0, 1]])
 
     def test_broken_cycle(self):
-        plan_, spec = tiny_plan(charge_kw={2: np.array([10.0, 0.0])},
-                                e_ess_kwh={2: np.full(2, 59.5)})
+        plan_ = tiny_plan(charge_kw={2: np.array([10.0, 0.0])},
+                          e_ess_kwh={2: np.full(2, 59.5)})
         with pytest.raises(AuditError, match="cyclic"):
-            audit_plan(plan_, spec, [[0, 1]])
+            audit_plan(plan_, [[0, 1]])
 
 
 def flat_profiles(net, p_kw, q_kvar, n_hours=24):
@@ -690,7 +688,6 @@ def _fixed_plan(spec, cap):
     """Plan shell carrying just a frozen capacity for dispatch runs."""
     plan_ = BessPlan.empty((2,), spec)
     plan_.capacity_kwh[2] = cap
-    plan_.installed[2] = True
     return plan_
 
 
@@ -704,6 +701,13 @@ def two_peak_days():
                                           n_hours=48))
     return net, profiles, plan(build_toep(net, profiles, range(24), [2],
                                           BessSpec()))
+
+
+@pytest.fixture(scope="module")
+def two_day_plan(two_peak_days):
+    """two_peak_days' plan sized on both days at once."""
+    net, profiles, _ = two_peak_days
+    return plan(build_toep(net, profiles, range(48), [2], BessSpec()))
 
 
 class TestValidatePlan:
@@ -739,11 +743,12 @@ class TestValidatePlan:
             assert np.abs(verdict.v_sq[:, t] - v).max() <= 1e-10
 
     def test_window_of_two_days_is_certified_day_by_day(self, monkeypatch,
-                                                        two_peak_days):
+                                                        two_peak_days,
+                                                        two_day_plan):
         # sized on both days at once, each day closes its own SOC chain,
         # so both replay as daily-cyclic days and need no solve
         net, profiles, day_plan = two_peak_days
-        plan_ = plan(build_toep(net, profiles, range(48), [2], BessSpec()))
+        plan_ = two_day_plan
         cap = plan_.capacity_kwh[2]
         assert cap == pytest.approx(day_plan.capacity_kwh[2], rel=1e-6)
         target = plan_.spec.soc_initial * cap
@@ -752,20 +757,22 @@ class TestValidatePlan:
         assert verdict.passed
         assert calls == [] and verdict.certified_days == (0, 24)
 
-    @pytest.mark.parametrize("end", ["start", "end"])
-    def test_off_target_boundary_energy_is_dispatched(self, monkeypatch,
-                                                      two_peak_days, end):
-        net, profiles, plan_ = two_peak_days
-        if end == "start":
-            moved = replace(plan_, e_start_kwh={
-                2: plan_.e_start_kwh[2] + 1e-3})
-        else:
-            e = plan_.e_ess_kwh[2].copy()
-            e[23] += 1e-3
-            moved = replace(plan_, e_ess_kwh={2: e})
+    @pytest.mark.parametrize("window, dispatched, certified", [
+        pytest.param(24, [0, 24], (), id="end"),
+        pytest.param(48, [0], (24,), id="end-of-two-day-window")])
+    def test_off_target_boundary_energy_is_dispatched(
+            self, monkeypatch, two_peak_days, two_day_plan, window,
+            dispatched, certified):
+        # day 0 ends off its anchor; day 24's chain starts at its own
+        # anchor, so inside the window its schedule still certifies it
+        net, profiles, day_plan = two_peak_days
+        plan_ = day_plan if window == 24 else two_day_plan
+        e = plan_.e_ess_kwh[2].copy()
+        e[23] += 1e-3
+        moved = replace(plan_, e_ess_kwh={2: e})
         verdict, calls = self.validate(monkeypatch, net, profiles, moved)
         assert verdict.passed
-        assert calls == [0, 24] and verdict.certified_days == ()
+        assert calls == dispatched and verdict.certified_days == certified
 
     def test_violating_replay_is_dispatched(self, monkeypatch,
                                             two_peak_days):
@@ -774,7 +781,8 @@ class TestValidatePlan:
         zero = np.zeros(24)
         idle = replace(plan_, charge_kw={2: zero}, discharge_kw={2: zero},
                        q_kvar={2: zero},
-                       e_ess_kwh={2: np.full(24, plan_.e_start_kwh[2])})
+                       e_ess_kwh={2: np.full(
+                           24, plan_.spec.soc_initial * plan_.capacity_kwh[2])})
         verdict, calls = self.validate(monkeypatch, net, profiles, idle)
         assert verdict.passed
         assert calls == [0, 24] and verdict.certified_days == ()

@@ -382,9 +382,9 @@ class TestGenerateAnnual:
             for prev, nxt in zip(evs, evs[1:]):
                 assert nxt.start >= prev.start + prev.duration_h - 1e-9
 
-    def test_seed_determinism_and_threading(self, fitted):
+    def test_seed_determinism(self, fitted):
         a = generate_annual(fitted, 6, 0.9, seed=4)
-        b = generate_annual(fitted, 6, 0.9, seed=4, threads=3)
+        b = generate_annual(fitted, 6, 0.9, seed=4)
         assert np.array_equal(a.series, b.series)
         assert a.events == b.events
 

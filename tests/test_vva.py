@@ -56,11 +56,6 @@ class TestBuildVva:
         assert np.allclose(sol.v_sq, 1.0, atol=1e-7)
         assert np.all(sol.losses <= 1e-9)
 
-    def test_uncovered_hours_rejected(self):
-        net = feeder2()
-        with pytest.raises(ValueError, match="cover"):
-            run_vva(net, constant_profiles(net, 2), hours=[0, 5])
-
     def test_current_cap_row_included_when_limit_given(self):
         doc = {
             "name": "capped",

@@ -8,7 +8,6 @@ from .netmodel import (
     NetworkError,
     electrical_distance,
     leaf_buses,
-    load_bundled,
     load_network,
     scale_profiles,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "NetworkError",
     "electrical_distance",
     "leaf_buses",
-    "load_bundled",
     "load_network",
     "scale_profiles",
 ]

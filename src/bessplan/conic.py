@@ -1,10 +1,11 @@
 """Cone-program modeling layer with a reference solver behind it.
 
-Programs are built from named variables, linear rows, and second-order
-cone rows (rotated v*l >= sum p_i^2 or standard ||u|| <= t). seal()
-converts to the conic standard form consumed by the interior-point
-reference backend (bessplan._ipm); a branch-and-bound layer handles
-binary variables.
+Programs are built from named variables, linear rows, and rotated
+second-order cone rows v*l >= sum p_i^2, the branch-flow cone; a norm
+bound ||u|| <= t is the rotated cone t*w >= sum u_i^2 with w = t.
+seal() converts to the conic standard form consumed by the
+interior-point reference backend (bessplan._ipm); a branch-and-bound
+layer handles binary variables.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class SolveResult:
 
 class ConicProgram:
     """Linear objective over continuous/binary variables with linear and
-    second-order-cone rows. Mutable until sealed."""
+    rotated second-order-cone rows. Mutable until sealed."""
 
     def __init__(self, name=""):
         self.name = name
@@ -68,7 +69,7 @@ class ConicProgram:
         self._obj = {}
         self._eqs = []     # (coeffs: {idx: a}, rhs)
         self._ineqs = []   # (coeffs, rhs), meaning coeffs . x <= rhs
-        self._cones = []   # ("r", v, l, [terms]) or ("s", t, [terms])
+        self._cones = []   # (v, l, [terms])
         self._sealed = None
 
     # -- construction ----------------------------------------------------
@@ -111,15 +112,7 @@ class ConicProgram:
         vi, li = self._idx(v), self._idx(l)
         if vi == li:
             raise ValueError("rotated cone needs distinct v and l")
-        self._cones.append(("r", vi, li, terms))
-
-    def add_soc(self, t, terms):
-        """||terms||_2 <= t."""
-        self._mutable()
-        terms = [self._idx(u) for u in terms]
-        if not terms:
-            raise ValueError("second-order cone needs at least one term")
-        self._cones.append(("s", self._idx(t), None, terms))
+        self._cones.append((vi, li, terms))
 
     def _row(self, coeffs):
         return {self._idx(nm): float(a) for nm, a in coeffs.items()
@@ -172,24 +165,16 @@ class ConicProgram:
             r += 1
         nl = r
         q = []
-        for kind, a, b_, terms in self._cones:
-            if kind == "r":
-                # (v+l, v-l, 2p) in a second-order cone of size len(p)+2
-                put(r, {a: -1.0, b_: -1.0}, 0.0)
+        for a, b_, terms in self._cones:
+            # (v+l, v-l, 2p) in a second-order cone of size len(p)+2
+            put(r, {a: -1.0, b_: -1.0}, 0.0)
+            r += 1
+            put(r, {a: -1.0, b_: 1.0}, 0.0)
+            r += 1
+            for tm in terms:
+                put(r, {tm: -2.0}, 0.0)
                 r += 1
-                put(r, {a: -1.0, b_: 1.0}, 0.0)
-                r += 1
-                for tm in terms:
-                    put(r, {tm: -2.0}, 0.0)
-                    r += 1
-                q.append(len(terms) + 2)
-            else:
-                put(r, {a: -1.0}, 0.0)
-                r += 1
-                for tm in terms:
-                    put(r, {tm: -1.0}, 0.0)
-                    r += 1
-                q.append(len(terms) + 1)
+            q.append(len(terms) + 2)
 
         G = sp.csr_matrix((vals, (rows, cols)), shape=(r, n))
         hv = np.array(h, dtype=float)
@@ -235,13 +220,9 @@ def max_residual(prog: ConicProgram, assignment) -> float:
         worst = max(worst, abs(sum(a * x[j] for j, a in coeffs.items()) - rhs))
     for coeffs, rhs in prog._ineqs:
         worst = max(worst, sum(a * x[j] for j, a in coeffs.items()) - rhs)
-    for kind, a, b_, terms in prog._cones:
-        if kind == "r":
-            worst = max(worst, -x[a], -x[b_],
-                        sum(x[t] ** 2 for t in terms) - x[a] * x[b_])
-        else:
-            worst = max(worst,
-                        math.sqrt(sum(x[t] ** 2 for t in terms)) - x[a])
+    for a, b_, terms in prog._cones:
+        worst = max(worst, -x[a], -x[b_],
+                    sum(x[t] ** 2 for t in terms) - x[a] * x[b_])
     return float(worst)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from itertools import islice
 from pathlib import Path
 
@@ -286,12 +285,6 @@ def _as_dict(document):
     raise NetworkError(f"cannot load network from {type(document).__name__}")
 
 
-def load_bundled(name) -> Network:
-    """Load a packaged fixture: 'ieee33' or 'ieee69'."""
-    ref = resources.files("bessplan.data").joinpath(f"{name}.json")
-    return load_network(json.loads(ref.read_text()))
-
-
 def electrical_distance(net: Network, a, b) -> float:
     """Sum of |r + jx| over the unique a-b tree path, p.u.
 
@@ -385,14 +378,6 @@ class LoadProfileSet:
         date = self.horizon[h].astype("datetime64[D]")
         cut = np.flatnonzero((np.diff(h) != 1) | (date[1:] != date[:-1]))
         return [run.tolist() for run in np.split(h, cut + 1)]
-
-    @classmethod
-    def constant(cls, net: Network, start, hours):
-        """Replicate the network base demand over an hourly horizon."""
-        horizon = np.datetime64(start, "h") + np.arange(hours)
-        p = np.tile(net.p_base_kw, (hours, 1))
-        q = np.tile(net.q_base_kvar, (hours, 1))
-        return cls(horizon, net.ids, p, q)
 
     def aligned(self, net: Network):
         """(P, Q) kW arrays of shape (H, n_bus) in network bus order.

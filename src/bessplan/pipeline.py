@@ -98,6 +98,10 @@ class StatParams:
     threshold: float | None = None   # electrical-distance threshold
     target: int | None = None        # diversity-filter target count
 
+    def __post_init__(self):
+        if self.k_max < 1:
+            raise ValueError("k_max must be >= 1")
+
 
 @dataclass(frozen=True)
 class PvmConfig:
@@ -252,8 +256,8 @@ class ValidationVerdict:
     infeasible_days: tuple    # first hour of each day with a residual
     round_index: int
     v_sq: np.ndarray          # (n_bus, n_hours)
-    monitored: tuple = ()
-    certified_days: tuple = ()
+    monitored: tuple
+    certified_days: tuple
 
     @property
     def passed(self):
@@ -293,18 +297,7 @@ def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
     failed = {r.hour for r in out}
     return ValidationVerdict(
         out, tuple(d[0] for d in days if failed.intersection(d)),
-        round_index, v_sq, certified_days=certified)
-
-
-def backtrack(used, ranked):
-    """Grow the monitored set by the best-ranked window not yet used."""
-    for w in ranked:
-        if w not in used:
-            return list(used) + [w]
-    raise PlanError(
-        "backtracking exhausted the ranked window list "
-        f"({len(ranked)} windows, all monitored); the plan cannot cover "
-        "the remaining infeasible days")
+        round_index, v_sq, plan_.hours, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +422,13 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
                          tuple(ranked), (ranked[0],), cset, None, (), (),
                          before, {})
 
-    # plan / validate / backtrack rounds
-    used = [ranked[0]]
-    windows_used = []
-    monitored = []
+    # plan / validate rounds: round r sizes on the r + 1 best-ranked
+    # windows, so a failed round backtracks to the next-ranked window
     verdicts = []
     notes = []
-    plan_ = None
     status = "fail"
-    for round_index in range(cfg.backtrack_cap):
-        windows_used = list(used)
+    for round_index in range(min(cfg.backtrack_cap, len(ranked))):
+        used = ranked[:round_index + 1]
         monitored = sorted({h for w in used for h in window_hours(w, profiles)})
         prog = _stage("plan", build_toep, net, profiles, monitored,
                       cset.buses, cfg.bess)
@@ -450,19 +440,18 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
         verdict = _stage(
             "validate", validate_plan, net, profiles, plan_, cfg=cfg.solver,
             threads=cfg.threads, round_index=round_index)
-        verdict = replace(verdict, monitored=tuple(monitored))
         verdicts.append(verdict)
         if verdict.passed:
             status = "pass"
             break
-        try:
-            used = backtrack(used, ranked)
-        except PlanError as exc:
-            notes.append(str(exc))
-            break
     else:
-        notes.append(f"backtrack cap {cfg.backtrack_cap} reached without a "
-                     "passing validation")
+        if len(ranked) <= cfg.backtrack_cap:
+            notes.append("backtracking exhausted the ranked window list "
+                         f"({len(ranked)} windows, all monitored); the plan "
+                         "cannot cover the remaining infeasible days")
+        else:
+            notes.append(f"backtrack cap {cfg.backtrack_cap} reached "
+                         "without a passing validation")
 
     after = voltage_summary(net.ids, np.sqrt(verdicts[-1].v_sq))
 
@@ -483,7 +472,7 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
             {label: (bess_run.cost, bess_run.losses_kwh)}))
 
     return PvmReport(status, tuple(records), stats, tuple(days),
-                     tuple(ranked), tuple(windows_used), cset, plan_,
+                     tuple(ranked), tuple(used), cset, plan_,
                      tuple(verdicts), rows, before, after, tuple(notes))
 
 

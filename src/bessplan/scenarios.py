@@ -437,14 +437,6 @@ def _draw_sessions(dist, n, rng):
     return pairs[:, 0], pairs[:, 1], start
 
 
-def sample_events(dist, n, seed=0):
-    """Draw n classified charging events from fitted distributions."""
-    durs, energies, starts = _draw_sessions(dist, n,
-                                            np.random.default_rng(seed))
-    return [ChargingEvent(float(h), dur, energy) for dur, energy, h
-            in zip(durs.tolist(), energies.tolist(), starts.tolist())]
-
-
 # ---------------------------------------------------------------------------
 # annual scenario synthesis
 

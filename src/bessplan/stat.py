@@ -105,11 +105,32 @@ def normalize_and_score(days, weights=None) -> list:
             for d, row in zip(days, normed)]
 
 
-def _window_sums(days, window_days):
-    """(first date, W-day window sums by start, whether each day is
-    scored) over the scored calendar span, padded with zero-stress days
-    to at least one window (window_hours clips a window to the
-    horizon)."""
+def select_worst_window(days, window_days=DEFAULT_WINDOW_DAYS) \
+        -> CriticalWindow:
+    """Maximal cumulative stress over all W-day calendar windows: the
+    first window rank_windows ranks.
+
+    Days missing from the log, or padding a calendar shorter than the
+    window, contribute zero stress; ties go to the earliest start.
+    """
+    return rank_windows(days, window_days)[0]
+
+
+def rank_windows(days, window_days=DEFAULT_WINDOW_DAYS) -> list:
+    """Windows in descending stress order that together hold every
+    scored day.
+
+    The windows are the W-day calendar windows over the scored calendar
+    span, padded with zero-stress days to at least one window
+    (window_hours clips a window to the horizon). Two scans of all
+    window positions by (score desc, start asc). The first takes each
+    window that holds a scored day and overlaps no window taken before:
+    a non-overlapping prefix. The second appends each window that holds
+    a scored day no ranked window holds yet, even if it overlaps earlier
+    ones (monitored hours are a union, so an overlap costs nothing). So
+    backtracking can reach every violating day, including one min-max
+    scoring puts at 0 and one at the edge of the calendar.
+    """
     if window_days < 1:
         raise ValueError("window length must be >= 1 day")
     if not days:
@@ -124,37 +145,7 @@ def _window_sums(days, window_days):
     scored = np.zeros(len(s), dtype=bool)
     s[k] = [d.score for d in days]
     scored[k] = True
-    return first, np.convolve(s, np.ones(window_days), mode="valid"), scored
-
-
-def select_worst_window(days, window_days=DEFAULT_WINDOW_DAYS) \
-        -> CriticalWindow:
-    """Maximal cumulative stress over all W-day calendar windows.
-
-    Days missing from the log, or padding a calendar shorter than the
-    window, contribute zero stress; ties go to the earliest start.
-    """
-    first, sums, _ = _window_sums(days, window_days)
-    k = int(np.argmax(sums))
-    start = first + k
-    return CriticalWindow(start, start + (window_days - 1), window_days,
-                          float(sums[k]))
-
-
-def rank_windows(days, window_days=DEFAULT_WINDOW_DAYS) -> list:
-    """Windows in descending stress order that together hold every
-    scored day.
-
-    Two scans of all window positions by (score desc, start asc). The
-    first takes each window that holds a scored day and overlaps no
-    window taken before: a non-overlapping prefix. The second appends
-    each window that holds a scored day no ranked window holds yet,
-    even if it overlaps earlier ones (monitored hours are a union, so
-    an overlap costs nothing). So backtracking can reach every violating
-    day, including one min-max scoring puts at 0 and one at the edge of
-    the calendar. Element 0 is select_worst_window's choice.
-    """
-    first, sums, scored = _window_sums(days, window_days)
+    sums = np.convolve(s, np.ones(window_days), mode="valid")
     taken = np.zeros(len(scored), dtype=bool)
     order = sorted(range(len(sums)), key=lambda k: (-sums[k], k))
     out = []
@@ -195,35 +186,30 @@ def _slack_at(net, hour):
                    net.v_base_kv, net.v_lower, net.v_upper, net.slack_v(hour))
 
 
-def sensitivities(net: Network, p_kw, q_kvar, buses, cfg=None,
-                  threads: int = 1, hour: int = 0, base=None) -> dict:
+def sensitivities(net: Network, p_kw, q_kvar, buses, base, cfg=None,
+                  threads: int = 1, hour: int = 0) -> dict:
     """Mean |voltage shift| per bus for a PROBE_PU active injection.
 
     p_kw/q_kvar are one snapshot hour in network bus order, and hour is
     that snapshot's absolute hour index, which picks the slack voltage
-    from the network's schedule. Each probed bus gets its own one-hour
-    program against a shared base case, and one screening run solves
+    from the network's schedule. base is the snapshot's voltages (p.u.,
+    network bus order): the screening solve's at that hour. Each probed
+    bus gets its own one-hour program, and one screening run solves
     them all as the hours of a snapshot profile set; the slack absorbs
-    its own probe, so its sensitivity is identically 0. base, if given,
-    is the base case's voltages (p.u., network bus order), e.g. the
-    screening solve's at that hour; otherwise the base case is one more
-    hour of the same run.
+    its own probe, so its sensitivity is identically 0.
     """
     net = _slack_at(net, hour)
     buses = list(buses)
     probed = [b for b in buses if net.idx[b] != net.slack]
-    if not probed and base is not None:
+    if not probed:
         return {b: 0.0 for b in buses}
-    rows = len(probed) + (base is None)
-    p = np.tile(np.asarray(p_kw, dtype=float), (rows, 1))
-    q = np.tile(np.asarray(q_kvar, dtype=float), (rows, 1))
+    p = np.tile(np.asarray(p_kw, dtype=float), (len(probed), 1))
+    q = np.tile(np.asarray(q_kvar, dtype=float), (len(probed), 1))
     probe_kw = PROBE_PU * 1000.0 * net.s_base_mva
     for k, b in enumerate(probed):
         p[k, net.idx[b]] -= probe_kw
     v = run_vva(net, _snapshot_profiles(net, p, q), cfg=cfg,
                 threads=threads).voltage()
-    if base is None:
-        base = v[:, -1]
     shift = {b: float(np.mean(np.abs(v[:, k] - base)))
              for k, b in enumerate(probed)}
     return {b: shift.get(b, 0.0) for b in buses}
@@ -276,8 +262,9 @@ def kmeans(X, k, seed=0):
 
     Returns (labels, centers, inertia history); the history is the
     assignment-step inertia per iteration, non-increasing for a sane
-    run, over at most KMEANS_MAX_ITER iterations. Empty clusters are
-    reseeded at the farthest point.
+    run, over at most KMEANS_MAX_ITER iterations. An empty cluster is
+    reseeded at the point farthest from its center among the clusters
+    that still hold two or more points, so no reseed empties another.
     """
     X = np.asarray(X, dtype=float)
     n = len(X)
@@ -300,12 +287,15 @@ def kmeans(X, k, seed=0):
     for _ in range(KMEANS_MAX_ITER):
         D = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new = D.argmin(axis=1)
-        history.append(float(D[np.arange(n), new].sum()))
-        for j in range(k):
-            if not (new == j).any():
-                far = int(D.min(axis=1).argmax())
-                centers[j] = X[far]
-                new[far] = j
+        dist = D[np.arange(n), new]
+        history.append(float(dist.sum()))
+        size = np.bincount(new, minlength=k)
+        for j in np.flatnonzero(size == 0):
+            far = int(np.where(size[new] > 1, dist, -np.inf).argmax())
+            size[new[far]] -= 1
+            size[j] = 1
+            centers[j] = X[far]
+            new[far] = j
         if labels is not None and np.array_equal(new, labels):
             break
         labels = new
@@ -338,19 +328,21 @@ def cluster(features, k_max=10, seed=0):
     """Label every feature row; returns (labels, K_opt).
 
     K_opt maximizes the silhouette over K = 2..min(k_max, n-1) on
-    z-scored columns; ties go to the smaller K. Fewer than 3 rows, or
-    all rows identical, degenerate to a single cluster.
+    z-scored columns; ties go to the smaller K. An empty K range (fewer
+    than 3 rows, or k_max below 2), or all rows identical, degenerates
+    to a single cluster.
     """
     X = np.array([[f.s_mean_abs, f.f_viol, f.s_eol] for f in features],
                  dtype=float)
     sd = X.std(axis=0)
     Xs = (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
     n = len(features)
-    if n < 3 or np.allclose(Xs, Xs[0]):
+    ks = range(2, min(k_max, n - 1) + 1)
+    if not ks or np.allclose(Xs, Xs[0]):
         labels, k_opt = np.zeros(n, dtype=int), 1
     else:
         best = None
-        for k in range(2, min(k_max, n - 1) + 1):
+        for k in ks:
             cand, _, _ = kmeans(Xs, k, seed=seed)
             score = silhouette_score(Xs, cand)
             if best is None or score > best[0] + 1e-12:

@@ -39,7 +39,6 @@ class FlowSolution:
     """Per-hour branch-flow results in p.u. on the network's bases."""
 
     bus_ids: tuple
-    branches: tuple          # (from_id, to_id) per branch
     hours: tuple             # absolute hour indices into the profile horizon
     times: tuple             # matching timestamps
     v_sq: np.ndarray         # (n_bus, T)
@@ -47,7 +46,6 @@ class FlowSolution:
     p_flow: np.ndarray       # (n_branch, T)
     q_flow: np.ndarray       # (n_branch, T)
     p_slack: np.ndarray      # (T,)
-    q_slack: np.ndarray      # (T,)
     losses: np.ndarray       # (T,)
     loose_cones: tuple = ()  # (branch_idx, hour, slack) above tolerance
 
@@ -190,7 +188,7 @@ def _extract_hour(net, res, t):
     P = np.array([res.x[f"P[{e},{t}]"] for e in range(m)])
     Q = np.array([res.x[f"Q[{e},{t}]"] for e in range(m)])
     L = np.array([res.x[f"l[{e},{t}]"] for e in range(m)])
-    return v, P, Q, L, res.x[f"Ps[{t}]"], res.x[f"Qs[{t}]"]
+    return v, P, Q, L, res.x[f"Ps[{t}]"]
 
 
 def run_vva(net: Network, profiles: LoadProfileSet,
@@ -232,14 +230,12 @@ def run_vva(net: Network, profiles: LoadProfileSet,
     p_flow = np.empty((m, T))
     q_flow = np.empty((m, T))
     p_slack = np.empty(T)
-    q_slack = np.empty(T)
-    for k, (v, P, Q, L, ps, qs) in enumerate(parts):
+    for k, (v, P, Q, L, ps) in enumerate(parts):
         v_sq[:, k] = v
         i_sq[:, k] = L
         p_flow[:, k] = P
         q_flow[:, k] = Q
         p_slack[k] = ps
-        q_slack[k] = qs
     losses = net.r @ i_sq
 
     slack = v_sq[net.fidx, :] * i_sq - p_flow ** 2 - q_flow ** 2
@@ -262,11 +258,8 @@ def run_vva(net: Network, profiles: LoadProfileSet,
                           f"branch-hours (max slack {worst:.3e}; {gap})",
                           RuntimeWarning, stacklevel=2)
     times = tuple(profiles.horizon[t] for t in hours)
-    branches = tuple((net.ids[net.fidx[e]], net.ids[net.tidx[e]])
-                     for e in range(m))
-    return FlowSolution(tuple(net.ids), branches, tuple(hours), times,
-                        v_sq, i_sq, p_flow, q_flow, p_slack, q_slack,
-                        losses, tuple(loose))
+    return FlowSolution(tuple(net.ids), tuple(hours), times, v_sq, i_sq,
+                        p_flow, q_flow, p_slack, losses, tuple(loose))
 
 
 def detect_violations(sol: FlowSolution, v_lower: float,

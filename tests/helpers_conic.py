@@ -67,7 +67,8 @@ def make_random_socp(seed, n=5, n_cones=3):
 
     Returns (prog, oracle_data) where oracle_data carries the box and
     the affine cone definitions ||A x + b|| <= a0 . x + b0 needed by
-    grid_search_socp.
+    grid_search_socp. The program holds each as the rotated cone
+    t*w >= ||u||^2 with w = t, u = A x + b and t = a0 . x + b0.
     """
     rng = np.random.default_rng(seed)
     c = rng.normal(size=n).round(3)
@@ -89,7 +90,9 @@ def make_random_socp(seed, n=5, n_cones=3):
             prog.add_eq({u: 1.0, **{xs[d]: -A[r, d] for d in range(n)}},
                         b[r])
             us.append(u)
-        prog.add_soc(t, us)
+        w = prog.add_var(f"w{k}")
+        prog.add_eq({w: 1.0, t: -1.0}, 0.0)
+        prog.add_rotated_cone(t, w, us)
         cones.append((a0, b0, A, b))
     prog.minimize({xs[d]: c[d] for d in range(n)})
     return prog, (c, lo, hi, cones)

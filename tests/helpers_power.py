@@ -3,12 +3,31 @@
 The sweep solver iterates backward (aggregate sending-end flows with
 the latest loss estimates) and forward (propagate squared voltages)
 until fixed point; at convergence it satisfies the exact branch-flow
-equations, so it is a solver-free reference for the cone model.
+equations, so it is a solver-free reference for the cone model. The
+bundled IEEE feeders and constant base-demand profiles are fixtures
+too.
 """
+
+import json
+from importlib import resources
 
 import numpy as np
 
 from bessplan.netmodel import LoadProfileSet, load_network
+
+
+def load_bundled(name):
+    """Load a packaged feeder: 'ieee33' or 'ieee69'."""
+    ref = resources.files("bessplan.data").joinpath(f"{name}.json")
+    return load_network(json.loads(ref.read_text()))
+
+
+def base_profiles(net, start, hours):
+    """Replicate the network base demand over an hourly horizon."""
+    horizon = np.datetime64(start, "h") + np.arange(hours)
+    p = np.tile(net.p_base_kw, (hours, 1))
+    q = np.tile(net.q_base_kvar, (hours, 1))
+    return LoadProfileSet(horizon, net.ids, p, q)
 
 
 def sweep_power_flow(net, p_kw, q_kvar, hour=0, tol=1e-13, max_iter=500):

@@ -2,8 +2,9 @@
 
 Expected values come from independent oracles in helpers_conic: a
 multiscale grid search for the random SOCP and full binary enumeration
-for the mixed-integer family. Closed-form cases (norm cone, rotated
-cone at a known point) are checked directly.
+for the mixed-integer family. Closed-form cases (a norm bound written
+as a rotated cone, a rotated cone at a known point) are checked
+directly.
 """
 
 import math
@@ -58,8 +59,9 @@ class TestModeling:
     def test_empty_cone_rejected(self):
         prog = ConicProgram()
         t = prog.add_var("t")
+        w = prog.add_var("w")
         with pytest.raises(ValueError, match="at least one term"):
-            prog.add_soc(t, [])
+            prog.add_rotated_cone(t, w, [])
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -70,14 +72,16 @@ class TestModeling:
 
 class TestRelaxation:
     def test_norm_cone_hypotenuse(self):
-        # min t s.t. ||(3,4)|| <= t  ->  5
+        # min t s.t. ||(3,4)|| <= t, as t*w >= 3^2 + 4^2 with w = t  ->  5
         prog = ConicProgram()
         t = prog.add_var("t")
+        w = prog.add_var("w")
         u1 = prog.add_var("u1")
         u2 = prog.add_var("u2")
         prog.add_eq({u1: 1.0}, 3.0)
         prog.add_eq({u2: 1.0}, 4.0)
-        prog.add_soc(t, [u1, u2])
+        prog.add_eq({w: 1.0, t: -1.0}, 0.0)
+        prog.add_rotated_cone(t, w, [u1, u2])
         prog.minimize({t: 1.0})
         res = solve_relaxation(prog)
         assert res.status == "optimal"
@@ -126,16 +130,21 @@ class TestRelaxation:
         assert res.max_residual <= 1e-6
 
     def test_residual_evaluator_flags_bad_point(self):
+        # |u| <= t as t*w >= u^2 with w = t: the cone row is off by
+        # u^2 - t*w, the equality by |w - t|
         prog = ConicProgram()
         t = prog.add_var("t")
+        w = prog.add_var("w")
         u = prog.add_var("u")
         prog.add_eq({u: 1.0}, 3.0)
-        prog.add_soc(t, [u])
+        prog.add_eq({w: 1.0, t: -1.0}, 0.0)
+        prog.add_rotated_cone(t, w, [u])
         prog.minimize({t: 1.0})
-        assert max_residual(prog, {"t": 1.0, "u": 3.0}) >= 2.0 - 1e-12
-        assert max_residual(prog, {"t": 3.0, "u": 3.0}) <= 1e-12
+        assert max_residual(prog, {"t": 1.0, "w": 1.0, "u": 3.0}) == 8.0
+        assert max_residual(prog, {"t": 3.0, "w": 3.0, "u": 3.0}) <= 1e-12
+        assert max_residual(prog, {"t": 3.0, "w": 4.0, "u": 3.0}) == 1.0
         with pytest.raises(ValueError, match="missing variable"):
-            max_residual(prog, {"t": 3.0})
+            max_residual(prog, {"t": 3.0, "w": 3.0})
 
     def test_deterministic_bitwise(self):
         a = solve_relaxation(make_random_socp(seed=4)[0])

@@ -12,10 +12,10 @@ from bessplan.netmodel import (
     NetworkError,
     electrical_distance,
     leaf_buses,
-    load_bundled,
     load_network,
     scale_profiles,
 )
+from helpers_power import base_profiles, load_bundled
 
 
 def make_doc(buses, branches, **extra):
@@ -265,7 +265,7 @@ class TestRadialityProperty:
 class TestProfiles:
     def test_constant_and_aligned(self):
         net = load_bundled("ieee33")
-        prof = LoadProfileSet.constant(net, "2025-01-01T00", 24)
+        prof = base_profiles(net, "2025-01-01T00", 24)
         P, Q = prof.aligned(net)
         assert P.shape == (24, 33)
         np.testing.assert_allclose(P[0], net.p_base_kw)
@@ -273,7 +273,7 @@ class TestProfiles:
 
     def test_scale_identity(self):
         net = load_bundled("ieee33")
-        prof = LoadProfileSet.constant(net, "2025-01-01T00", 4)
+        prof = base_profiles(net, "2025-01-01T00", 4)
         same = scale_profiles(prof, 1.0)
         np.testing.assert_array_equal(same.p_kw, prof.p_kw)
 
@@ -299,7 +299,7 @@ class TestProfiles:
 
     def test_nonpositive_growth_rejected(self):
         net = load_bundled("ieee33")
-        prof = LoadProfileSet.constant(net, "2025-01-01T00", 2)
+        prof = base_profiles(net, "2025-01-01T00", 2)
         with pytest.raises(ValueError, match="positive"):
             scale_profiles(prof, 0.0)
         with pytest.raises(ValueError, match="positive"):

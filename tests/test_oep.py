@@ -20,13 +20,12 @@ import pytest
 
 from bessplan import conic, pipeline
 from bessplan.conic import ConicProgram, solve_relaxation
-from bessplan.netmodel import LoadProfileSet
 from bessplan.oep import (AUDIT_TOL, VALIDATION_TOL, AuditError, BessPlan,
                           BessSpec, PlanError, TouTariff, _storage_block,
                           audit_plan, build_toep, dispatch_day, plan,
                           savings_report, tou_dispatch)
-from helpers_power import (feeder, feeder2, profiles_from_rows,
-                           sweep_power_flow)
+from helpers_power import (base_profiles, feeder, feeder2,
+                           profiles_from_rows, sweep_power_flow)
 
 
 def uv_feeder(**extra):
@@ -81,7 +80,7 @@ class TestTariff:
         # a horizon that starts at 18:00 pays the 19:00 price on its
         # second row, whether the pattern comes as prices or a file
         pattern = np.linspace(0.1, 0.5, 24)
-        profiles = LoadProfileSet.constant(feeder2(), "2024-06-01T18", 30)
+        profiles = base_profiles(feeder2(), "2024-06-01T18", 30)
         tariff = TouTariff.from_daily_pattern(pattern, profiles.hour_of_day)
         assert profiles.horizon[1] == np.datetime64("2024-06-01T19")
         assert tariff.prices[1] == pattern[19]
@@ -103,7 +102,7 @@ class TestTariff:
 class TestBuildStructure:
     def test_single_candidate_day_counts(self):
         net = feeder2()
-        profiles = LoadProfileSet.constant(net, "2024-06-01T00", 24)
+        profiles = base_profiles(net, "2024-06-01T00", 24)
         prog = build_toep(net, profiles, range(24), [2], BessSpec())
         # no minimum unit size, so no installation flag
         assert prog.binaries == ()
@@ -121,7 +120,7 @@ class TestBuildStructure:
 
     def test_minimum_unit_size_adds_one_flag_per_candidate(self):
         net = feeder2()
-        profiles = LoadProfileSet.constant(net, "2024-06-01T00", 24)
+        profiles = base_profiles(net, "2024-06-01T00", 24)
         prog = build_toep(net, profiles, range(24), [2],
                           BessSpec(e_min_kwh=100.0))
         assert prog.binaries == ("z[2]",)
@@ -143,7 +142,7 @@ class TestBuildStructure:
 
     def test_gapped_window_gets_one_chain_per_day(self):
         net = feeder2()
-        profiles = LoadProfileSet.constant(net, "2024-06-01T00", 96)
+        profiles = base_profiles(net, "2024-06-01T00", 96)
         hours = list(range(48)) + list(range(72, 96))
         prog = build_toep(net, profiles, hours, [2], BessSpec())
         assert prog.binaries == ()
@@ -153,7 +152,7 @@ class TestBuildStructure:
 
     def test_input_validation(self):
         net = feeder2()
-        profiles = LoadProfileSet.constant(net, "2024-06-01T00", 24)
+        profiles = base_profiles(net, "2024-06-01T00", 24)
         spec = BessSpec()
         with pytest.raises(ValueError, match="empty"):
             build_toep(net, profiles, range(24), [], spec)
@@ -212,7 +211,7 @@ class TestEnergyDynamics:
 class TestZeroViolationPlan:
     def test_healthy_window_buys_nothing(self):
         net = feeder2()  # 600 kW load sits at v = 0.985, no violation
-        profiles = LoadProfileSet.constant(net, "2024-06-01T00", 24)
+        profiles = base_profiles(net, "2024-06-01T00", 24)
         prog = build_toep(net, profiles, range(24), [2], BessSpec())
         result = plan(prog)
         assert result.total_capacity_kwh() <= 1e-6

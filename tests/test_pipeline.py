@@ -21,6 +21,10 @@ validated it the number of days its own schedule certified as
 certified_days. A plan sized on a short sag that fails validation on a
 longer one exits 1 when the round cap stops it; without the cap,
 backtracking monitors the longer sag, although it scores 0, and passes.
+Round r sizes on the r + 1 best-ranked windows, and rounds that monitor
+every ranked window without a pass end on the exhausted-list note. A
+`stat` k_max of 1 puts every candidate in one cluster, and a k_max of
+0 exits 2 naming the key.
 A horizon that starts at 06:00 certifies its sized calendar day, and a
 seven-day window over three violating days of a ten-day horizon is
 sized and passes. A run fed the distributions the `scenarios` command
@@ -41,13 +45,14 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bessplan import _ipm, oep
+from bessplan import _ipm, oep, pipeline
 from bessplan.netmodel import LoadProfileSet, load_network
 from bessplan.oep import VALIDATION_TOL, BessPlan
 from bessplan.pipeline import (_overlaid_profiles, load_config, main,
                                read_tariff)
 from bessplan.scenarios import (generate_annual, overlay_penetration,
                                 read_distributions)
+from bessplan.vva import ViolationRecord
 
 FILES = ("scenarios.csv", "distributions.json", "profiles_overlaid.csv")
 HOURS = 48
@@ -264,6 +269,23 @@ def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
     assert not (tmp_path / "out").exists()
 
 
+def test_k_max_one_is_one_cluster_and_zero_exits_two(tmp_path, capsys):
+    # a 1.4x evening peak undervolts three or more buses, so K = 2..k_max
+    # is empty only because of k_max
+    shape = np.where((np.arange(24) >= 17) & (np.arange(24) < 20), 1.4, 0.5)
+    for k_max, code in ((1, 0), (0, 2)):
+        config = write_line_inputs(tmp_path, shape, {
+            "scenarios": {"daily_prob": 0.0, "penetration": 0.0},
+            "stat": {"window_days": 1, "k_max": k_max}})
+        assert main(["stat", "--config", str(config),
+                     "--out", str(tmp_path / f"out{k_max}")]) == code
+    with open(tmp_path / "out1" / "candidates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) >= 3 and {r["cluster"] for r in rows} == {"0"}
+    assert "[config] 'stat': k_max must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out0").exists()
+
+
 def sizing_solves(monkeypatch):
     """(status, node count) of the sizing solves of the runs that
     follow."""
@@ -442,6 +464,40 @@ def test_zero_score_day_is_monitored_after_a_failed_round(tmp_path):
     assert summary["status"] == "pass" and summary["rounds"] == 2
     assert summary["windows_used"] == [["2025-01-01", "2025-01-01"],
                                        ["2025-01-02", "2025-01-02"]]
+
+
+def test_rounds_stop_once_every_ranked_window_is_monitored(tmp_path,
+                                                           monkeypatch):
+    # round r sizes on the r + 1 best-ranked windows. With validation
+    # made to fail, a round cap equal to the two ranked windows ends
+    # on the exhausted list, not on the cap
+    shape = np.full(48, 0.5)
+    shape[18] = 1.3
+    shape[40:46] = 1.25
+    config = write_line_inputs(tmp_path, shape, {
+        "scenarios": {"daily_prob": 0.0, "penetration": 0.0},
+        "stat": {"window_days": 1, "weights": [0, 0, 1, 0]},
+        "solver": {"feas_tol": 1e-7, "cone_tol": 1e-7, "node_limit": 4},
+        "backtrack_cap": 2})
+    real = pipeline.validate_plan
+
+    def failing(*args, **kwargs):
+        return replace(real(*args, **kwargs), residuals=(
+            ViolationRecord(5, 40, None, 0.9, 0.05, "under"),))
+
+    monkeypatch.setattr(pipeline, "validate_plan", failing)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "fail" and summary["rounds"] == 2
+    assert summary["windows_used"] == [["2025-01-01", "2025-01-01"],
+                                       ["2025-01-02", "2025-01-02"]]
+    assert summary["notes"] == [
+        "backtracking exhausted the ranked window list (2 windows, all "
+        "monitored); the plan cannot cover the remaining infeasible days"]
+    with open(out / "verdicts.csv", newline="") as fh:
+        assert [r["monitored_hours"] for r in csv.DictReader(fh)] == \
+            ["24", "48"]
 
 
 def test_horizon_from_six_am_certifies_its_sized_day(tmp_path):

@@ -15,14 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bessplan.netmodel import LoadProfileSet, load_bundled, scale_profiles
+from bessplan.netmodel import scale_profiles
 from bessplan.scenarios import (ChargingEvent, EventDistributions, Kde,
                                 ScenarioError, ScenarioSet, SynthParams,
-                                detect_events, extract_ev_load,
-                                fit_event_distributions, fit_kde,
-                                generate_annual, overlay_penetration,
-                                read_distributions, sample_events,
+                                _draw_sessions, detect_events,
+                                extract_ev_load, fit_event_distributions,
+                                fit_kde, generate_annual,
+                                overlay_penetration, read_distributions,
                                 synth_households, write_distributions)
+from helpers_power import base_profiles, load_bundled
+
+
+def sample_events(dist, n, seed=0):
+    """Draw n classified charging events from fitted distributions, as
+    the annual scenarios draw their charging days' sessions."""
+    durs, energies, starts = _draw_sessions(dist, n,
+                                            np.random.default_rng(seed))
+    return [ChargingEvent(float(h), dur, energy) for dur, energy, h
+            in zip(durs.tolist(), energies.tolist(), starts.tolist())]
 
 
 @pytest.fixture(scope="module")
@@ -460,7 +470,7 @@ def net():
 
 @pytest.fixture(scope="module")
 def base(net):
-    return LoadProfileSet.constant(net, "2030-06-01T00", 72)
+    return base_profiles(net, "2030-06-01T00", 72)
 
 
 class TestOverlayPenetration:
@@ -507,7 +517,7 @@ class TestOverlayPenetration:
         series = np.zeros((1, 72))
         series[0, [19, 43, 67]] = 7.0
         sset = ScenarioSet(series, ((),), 0, 1.0)
-        base = LoadProfileSet.constant(net, "2030-06-01T18", 48)
+        base = base_profiles(net, "2030-06-01T18", 48)
         out = overlay_penetration(net, base, sset, 1.0 / 32, seed=3)
         added = (out.p_kw - base.p_kw).sum(axis=1)
         assert np.flatnonzero(added).tolist() == [1, 25]
@@ -517,7 +527,7 @@ class TestOverlayPenetration:
                 series[:, :60], ((),), 0, 1.0), 1.0 / 32)
 
     def test_scenarios_must_cover_horizon(self, net, annual):
-        long_base = LoadProfileSet.constant(net, "2030-01-01T00", 9000)
+        long_base = base_profiles(net, "2030-01-01T00", 9000)
         with pytest.raises(ScenarioError, match="hours"):
             overlay_penetration(net, long_base, annual, 0.5)
 

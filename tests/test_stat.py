@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from bessplan.netmodel import electrical_distance, load_bundled
+from bessplan.netmodel import electrical_distance
 from bessplan.stat import (CandidateSet, CriticalWindow, DailyStress,
                            NodeFeatures, build_pool, candidate_rows,
                            cluster, combined_metric, daily_metrics,
@@ -19,9 +19,9 @@ from bessplan.stat import (CandidateSet, CriticalWindow, DailyStress,
                            rank_windows, scored_day_rows,
                            select_worst_window, sensitivities,
                            silhouette_score, window_hours, window_rows)
-from bessplan.vva import ViolationRecord, run_vva
-from helpers_power import feeder, feeder2, feeder4, profiles_from_rows, \
-    sweep_power_flow
+from bessplan.vva import ViolationRecord
+from helpers_power import feeder, feeder2, feeder4, load_bundled, \
+    profiles_from_rows, sweep_power_flow
 
 D0 = np.datetime64("2030-01-01", "D")
 
@@ -266,13 +266,19 @@ class TestWindowHours:
         assert window_hours(win, profiles) == list(range(24, 48))
 
 
+def exact_volts(net, p, q):
+    """Snapshot voltages by the independent sweep: the base case that
+    sensitivities takes from the screening solve."""
+    return np.sqrt(sweep_power_flow(net, p, q)[0])
+
+
 class TestSensitivity:
     def test_two_bus_matches_sweep_oracle(self):
         net = feeder2()
         p = np.array([0.0, 600.0])
         q = np.array([0.0, 300.0])
-        got = sensitivities(net, p, q, [2])[2]
         v0, _, _, _ = sweep_power_flow(net, p, q)
+        got = sensitivities(net, p, q, [2], np.sqrt(v0))[2]
         p2 = p.copy()
         p2[1] -= 0.01 * 1000.0 * net.s_base_mva
         v1, _, _, _ = sweep_power_flow(net, p2, q)
@@ -293,49 +299,32 @@ class TestSensitivity:
             v0, _, _, _ = sweep_power_flow(net, p, q, hour=hour)
             v1, _, _, _ = sweep_power_flow(net, p2, q, hour=hour)
             expect[hour] = np.abs(np.sqrt(v1) - np.sqrt(v0)).mean()
-            got = sensitivities(net, p, q, [2], hour=hour)[2]
+            got = sensitivities(net, p, q, [2], np.sqrt(v0), hour=hour)[2]
             assert got == pytest.approx(expect[hour], abs=1e-6)
         # the two slack voltages give answers 40x the tolerance apart
         assert expect[2] - expect[0] > 4e-5
 
     def test_slack_probe_is_absorbed(self):
         net = feeder2()
-        assert sensitivities(net, np.array([0.0, 600.0]),
-                             np.array([0.0, 300.0]), [1]) == {1: 0.0}
+        p = np.array([0.0, 600.0])
+        q = np.array([0.0, 300.0])
+        assert sensitivities(net, p, q, [1],
+                             exact_volts(net, p, q)) == {1: 0.0}
 
     def test_deeper_line_buses_are_more_sensitive(self):
         net = feeder4()  # a pure line feeder 1-2-3-4
         p, q = net.p_base_kw, net.q_base_kvar
-        sens = sensitivities(net, p, q, [2, 3, 4])
+        sens = sensitivities(net, p, q, [2, 3, 4], exact_volts(net, p, q))
         assert sens[4] > sens[3] > sens[2] > 0.0
 
     def test_threaded_matches_serial(self):
         net = feeder4()
         p, q = net.p_base_kw, net.q_base_kvar
-        serial = sensitivities(net, p, q, [4, 1, 2, 3])
-        threaded = sensitivities(net, p, q, [4, 1, 2, 3], threads=2)
+        base = exact_volts(net, p, q)
+        serial = sensitivities(net, p, q, [4, 1, 2, 3], base)
+        threaded = sensitivities(net, p, q, [4, 1, 2, 3], base, threads=2)
         assert list(threaded) == [4, 1, 2, 3]
         assert threaded == serial
-
-    def test_screening_base_gives_the_same_answer(self):
-        # the screening solve at the snapshot hour is the base case that
-        # sensitivities would solve, bit for bit, slack schedule included
-        net = feeder(4, [(1, 2, 0.015, 0.010), (2, 3, 0.020, 0.012),
-                         (3, 4, 0.025, 0.015)], {},
-                     slack_voltage_pu=[1.0, 0.97, 1.02])
-        prof = profiles_from_rows(net, "2030-01-01T00", [
-            {2: (250.0, 120.0), 3: (300.0, 150.0), 4: (220.0, 100.0)},
-            {2: (400.0, 180.0), 3: (350.0, 160.0), 4: (500.0, 210.0)},
-            {2: (150.0, 70.0), 3: (200.0, 90.0), 4: (120.0, 60.0)}])
-        screen = run_vva(net, prof)
-        p, q = prof.aligned(net)
-        for hour in (1, 2):
-            solved = sensitivities(net, p[hour], q[hour], [2, 3, 4],
-                                   hour=hour)
-            given = sensitivities(net, p[hour], q[hour], [2, 3, 4],
-                                  hour=hour,
-                                  base=screen.voltage()[:, hour])
-            assert given == solved
 
     def test_peak_severity_hour(self):
         records = [rec(0, 3, 0.02), rec(0, 3, 0.01), rec(0, 5, 0.025)]
@@ -422,6 +411,21 @@ class TestClustering:
         feats = blob_features(per_side=1)
         labels, k_opt = cluster(feats)
         assert k_opt == 1 and len(labels) == 2
+
+    def test_k_max_one_is_one_cluster(self):
+        # K = 2..min(k_max, n-1) is empty, as for fewer than 3 rows
+        labels, k_opt = cluster(blob_features(), k_max=1)
+        assert k_opt == 1 and set(labels) == {0}
+
+    def test_reseed_never_empties_a_cluster(self):
+        # k-means++ puts two of the three centers on the repeated point,
+        # so one cluster starts empty; its reseed must come from the
+        # four-point cluster, not take the lone outlier from its own
+        X = np.array([[1.0, 0.0]] + [[0.0, 0.0]] * 4)
+        for seed in range(20):
+            labels, centers, _ = kmeans(X, 3, seed=seed)
+            assert sorted(np.bincount(labels, minlength=3)) == [1, 1, 3]
+            assert np.isfinite(centers).all()
 
     def test_seed_determinism(self):
         a, _ = cluster(blob_features(), seed=42)

@@ -12,16 +12,17 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from bessplan.netmodel import LoadProfileSet, load_bundled, load_network
+from bessplan.netmodel import load_network
 from bessplan.vva import (FlowSolution, PowerFlowError, _hour_block,
                           detect_violations, node_stats, power_flow, run_vva)
 from bessplan.conic import ConicProgram, solve_relaxation
-from helpers_power import (feeder2, feeder4, feeder6, profiles_from_rows,
+from helpers_power import (base_profiles, feeder2, feeder4, feeder6,
+                           load_bundled, profiles_from_rows,
                            sweep_power_flow)
 
 
 def constant_profiles(net, hours=1):
-    return LoadProfileSet.constant(net, "2024-06-01T00", hours)
+    return base_profiles(net, "2024-06-01T00", hours)
 
 
 def screening_program(net, profiles, hours):
@@ -199,7 +200,7 @@ class TestLooseConeWarning:
         # the cones end about 2e-6 loose on every hour, yet the voltages
         # match the exact power flow to about 4e-10 p.u.
         net = load_bundled("ieee69")
-        profiles = LoadProfileSet.constant(net, "2025-01-01T00", 4)
+        profiles = base_profiles(net, "2025-01-01T00", 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = run_vva(net, profiles)
@@ -217,7 +218,7 @@ class TestLooseConeWarning:
         monkeypatch.setattr(vva, "power_flow", no_flow)
         net = load_bundled("ieee69")
         with pytest.warns(RuntimeWarning, match="no power flow") as seen:
-            run_vva(net, LoadProfileSet.constant(net, "2025-01-01T00", 1))
+            run_vva(net, base_profiles(net, "2025-01-01T00", 1))
         assert seen[0].filename == __file__
 
 
@@ -226,10 +227,10 @@ class TestViolations:
         volts = np.asarray(volts, dtype=float)[:, None]
         n = volts.shape[0]
         times = (np.datetime64("2024-06-01T00", "h"),)
-        return FlowSolution(tuple(range(1, n + 1)), (), (0,), times,
+        return FlowSolution(tuple(range(1, n + 1)), (0,), times,
                             volts ** 2, np.zeros((0, 1)),
                             np.zeros((0, 1)), np.zeros((0, 1)),
-                            np.zeros(1), np.zeros(1), np.zeros(1))
+                            np.zeros(1), np.zeros(1))
 
     def test_severity_arithmetic(self):
         sol = self._sol_with_voltages([1.0, 0.93, 1.07, 0.87])

@@ -19,8 +19,11 @@ import scipy.sparse as sp
 
 from . import _ipm
 
-# a binary within INT_TOL of 0 or 1 is integral
-INT_TOL = 1e-6
+# a binary within INT_TOL of 0 or 1 is integral, and a rounded one is 1
+# only above it: 1e-5, the usual integrality tolerance of MIP solvers.
+# An interior point leaves an unused installation flag at about 1e-6,
+# and rounding that up installs a whole unit nothing asked for.
+INT_TOL = 1e-5
 
 
 @dataclass
@@ -313,7 +316,8 @@ def solve_relaxation(prog: ConicProgram, cfg: SolverConfig | None = None,
 
 
 def _heuristic_fixes(prog, relax_x):
-    """Round binaries up from any strictly positive relaxation value."""
+    """Round binaries up from any relaxation value above INT_TOL, the
+    rule for the root heuristic and for an integral node alike."""
     return {j: (1.0 if relax_x[j] > INT_TOL else 0.0) for j in prog._binary}
 
 
@@ -413,11 +417,8 @@ def solve_misocp(prog: ConicProgram, cfg: SolverConfig | None = None,
             if frac > best_frac:
                 best_j, best_frac = j, frac
         if best_j is None:
-            full = dict(fixes)
-            for j in binaries:
-                if j not in full:
-                    full[j] = 1.0 if xv[j] > 0.5 else 0.0
-            try_incumbent(full)
+            # fixed binaries come back at their exact values
+            try_incumbent(_heuristic_fixes(prog, xv))
             continue
 
         if nodes_done == 1:    # the root

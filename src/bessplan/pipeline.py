@@ -13,6 +13,9 @@ returns; branch-and-bound runs in sizing alone, over the installation
 flags of a minimum unit size. A failed validation backtracks by adding
 the next-ranked window and re-planning, up to a round cap. Reports are
 plain CSV/JSON files, byte-stable under a fixed master seed.
+
+The command line exits 0 for any status but fail, 1 for fail, 2 for a
+config or input error and 3 for a planning or solver one (_classify).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,11 +43,10 @@ from .scenarios import (ScenarioError, detect_events, extract_ev_load,
                         synth_households, write_distributions,
                         write_scenarios)
 from .stat import (CandidateSet, DEFAULT_WEIGHTS, DEFAULT_WINDOW_DAYS,
-                   METRICS, build_pool, candidate_rows, cluster,
-                   combined_metric, daily_metrics, diversity_filter,
-                   node_features, normalize_and_score, peak_severity_hour,
-                   rank_windows, scored_day_rows, sensitivities,
-                   window_hours, window_rows)
+                   METRICS, build_pool, cluster, combined_metric,
+                   daily_metrics, diversity_filter, node_features,
+                   normalize_and_score, peak_severity_hour, rank_windows,
+                   sensitivities, window_hours)
 # not called here: rank_windows ranks every violating day, so its first
 # window is this choice. It stays a pipeline attribute because the
 # benchmark's layer tracer (perfbench/layertrace.py) wraps it there.
@@ -125,46 +127,63 @@ class PvmConfig:
                             ("profiles", self.profiles),
                             ("tariff", self.tariff)):
             if not os.path.isfile(path):
-                raise StageError("config", f"{label} file not found: {path}")
+                raise ValueError(f"{label} file not found: {path}")
         if self.distributions is not None and \
                 not os.path.isfile(self.distributions):
-            raise StageError(
-                "config", f"distributions file not found: {self.distributions}")
+            raise ValueError(
+                f"distributions file not found: {self.distributions}")
         if self.economics_scope not in ("window", "year"):
-            raise StageError(
-                "config", f"economics_scope must be 'window' or 'year', "
-                          f"got {self.economics_scope!r}")
-        if self.backtrack_cap < 1:
-            raise StageError("config", "backtrack_cap must be >= 1")
-        if self.threads < 1:
-            raise StageError("config", "threads must be >= 1")
+            raise ValueError(f"economics_scope must be 'window' or 'year', "
+                             f"got {self.economics_scope!r}")
+        for name in ("backtrack_cap", "threads"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
 
 
-_TOP_KEYS = {f.name for f in fields(PvmConfig)}
-_REQUIRED = ("network", "profiles", "tariff", "outdir")
-_PATHS = _REQUIRED + ("distributions",)
-# table-valued keys and the dataclass each parses into; every other
-# key is taken as written
+_PATHS = ("network", "profiles", "tariff", "outdir", "distributions")
+# table-valued keys of the config root and the dataclass each parses into
 _SECTIONS = {"scenarios": ScenarioParams, "stat": StatParams,
              "bess": BessSpec, "solver": SolverConfig}
 
 
-def _section(doc, key, cls):
-    sub = doc.get(key)
-    if sub is None:
-        return cls()
-    if not isinstance(sub, dict):
-        raise StageError("config", f"'{key}' must be a table of fields")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(sub) - allowed
+def _section(doc, cls, key=None, base=""):
+    """Build cls from one JSON table: the config root if key is None,
+    else the table under key.
+
+    Lists become tuples, tables (null for the defaults) parse into their
+    _SECTIONS class and relative paths join base. An unknown or missing
+    key, a wrong type or a bad value is a config error.
+    """
+    if not isinstance(doc, dict):
+        raise StageError("config", f"'{key}' must be a table of fields"
+                         if key else "config root must be an object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
-        raise StageError(
-            "config", f"unknown keys in '{key}': {sorted(unknown)}")
-    sub = {k: tuple(v) if isinstance(v, list) else v for k, v in sub.items()}
+        raise StageError("config", f"unknown keys in '{key}': "
+                         f"{sorted(unknown)}" if key else
+                         f"unknown config keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in doc and
+               f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise StageError("config", f"missing required keys: {missing}")
+    kv = {}
+    for name, value in doc.items():
+        if name in _SECTIONS:
+            value = _section({} if value is None else value,
+                             _SECTIONS[name], name)
+        elif name in _PATHS and value is not None:
+            if not isinstance(value, str):
+                raise StageError("config", f"'{name}' must be a path string")
+            value = os.path.join(base, value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kv[name] = value
     try:
-        return cls(**sub)
+        return cls(**kv)
     except (TypeError, ValueError) as exc:
-        raise StageError("config", f"'{key}': {exc}") from exc
+        raise StageError("config", f"'{key}': {exc}" if key else str(exc)) \
+            from exc
 
 
 def load_config(path) -> PvmConfig:
@@ -180,31 +199,8 @@ def load_config(path) -> PvmConfig:
         raise StageError("config", f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StageError("config", f"malformed config: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise StageError("config", "config root must be an object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise StageError("config", f"unknown config keys: {sorted(unknown)}")
-    missing = [k for k in _REQUIRED if k not in doc]
-    if missing:
-        raise StageError("config", f"missing required keys: {missing}")
-
     base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if p is None or os.path.isabs(p) else os.path.join(base, p)
-
-    kv = {}
-    for f in fields(PvmConfig):
-        if f.name not in doc:
-            continue
-        if f.name in _SECTIONS:
-            kv[f.name] = _section(doc, f.name, _SECTIONS[f.name])
-        elif f.name in _PATHS:
-            kv[f.name] = resolve(doc[f.name])
-        else:
-            kv[f.name] = doc[f.name]
-    return PvmConfig(**kv)
+    return _section(doc, PvmConfig, base=base)
 
 
 def read_tariff(path, hour_of_day) -> TouTariff:
@@ -306,20 +302,21 @@ def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
 
 @dataclass
 class PvmReport:
-    """Everything a run produced, in emission-ready form."""
+    """Everything a run produced, in emission-ready form; what a run
+    stopped before is left empty."""
 
     status: str               # pass | fail | no-investment | stopped:<stage>
-    violations: tuple         # screening ViolationRecord rows
-    bus_stats: tuple          # NodeViolationStats for violating buses
-    scored_days: tuple        # DailyStress, scored
-    windows: tuple            # ranked CriticalWindow list
-    windows_used: tuple       # windows the final plan monitored
-    candidates: CandidateSet | None
-    plan: BessPlan | None
-    verdicts: tuple           # ValidationVerdict per round
-    economics: tuple          # savings_report rows
     summary_before: dict      # bus -> (min, q1, median, q3, max) p.u.
-    summary_after: dict
+    violations: tuple = ()    # screening ViolationRecord rows
+    bus_stats: tuple = ()     # NodeViolationStats for violating buses
+    scored_days: tuple = ()   # DailyStress, scored
+    windows: tuple = ()       # ranked CriticalWindow list
+    windows_used: tuple = ()  # windows the final plan monitored
+    candidates: CandidateSet | None = None
+    plan: BessPlan | None = None
+    verdicts: tuple = ()      # ValidationVerdict per round
+    economics: tuple = ()     # savings_report rows
+    summary_after: dict = field(default_factory=dict)
     notes: tuple = ()
 
     def __post_init__(self):
@@ -371,12 +368,13 @@ def _overlaid_profiles(cfg, net, base):
                                sp.seed), scen, dist
 
 
-def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
-    """Execute the staged flow; returns the report (no files written).
+def run_pvm(cfg: PvmConfig, command: str) -> PvmReport:
+    """Execute the staged flow of one CLI command; returns the report (no
+    files written).
 
-    stop_after "vva", "stat" or "plan" truncates the run after that
-    stage, for the matching CLI subcommand; any other value runs every
-    stage. economics=False skips the tariff dispatch comparison.
+    "vva", "stat" and "plan" stop after that stage, "validate",
+    "economics" and "run" run every stage, and only "economics" and
+    "run" price a passing plan by the tariff dispatch comparison.
     """
     net = _stage("input", load_network, cfg.network)
     base = _stage("input", LoadProfileSet.from_csv, cfg.profiles)
@@ -385,25 +383,24 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
 
     sol = _stage("vva", run_vva, net, profiles, cfg=cfg.solver,
                  threads=cfg.threads)
-    records = _stage("vva", detect_violations, sol, net.v_lower, net.v_upper)
+    records = tuple(_stage("vva", detect_violations, sol, net.v_lower,
+                           net.v_upper))
     before = voltage_summary(sol.bus_ids, sol.voltage())
 
     if not records:
         return PvmReport(
-            "no-investment", (), (), (), (), (), None, None, (), (),
-            before, before,
+            "no-investment", before, summary_after=before,
             notes=("screening found no violations; no investment needed",))
 
     vbuses = sorted({r.bus for r in records})
     stats = tuple(node_stats(records, len(sol.hours), vbuses))
-    if stop_after == "vva":
-        return PvmReport("stopped:vva", tuple(records), stats, (), (), (),
-                         None, None, (), (), before, {})
+    if command == "vva":
+        return PvmReport("stopped:vva", before, records, stats)
 
     st = cfg.stat
-    days = _stage("stat", lambda: normalize_and_score(
-        daily_metrics(records), st.weights))
-    ranked = _stage("stat", rank_windows, days, st.window_days)
+    days = tuple(_stage("stat", lambda: normalize_and_score(
+        daily_metrics(records), st.weights)))
+    ranked = tuple(_stage("stat", rank_windows, days, st.window_days))
 
     p_kw, q_kvar = profiles.aligned(net)
     peak = _stage("stat", peak_severity_hour, records)
@@ -417,10 +414,9 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
     cset = _stage("stat", diversity_filter, pool, net,
                   threshold=st.threshold, target=st.target)
 
-    if stop_after == "stat":
-        return PvmReport("stopped:stat", tuple(records), stats, tuple(days),
-                         tuple(ranked), (ranked[0],), cset, None, (), (),
-                         before, {})
+    if command == "stat":
+        return PvmReport("stopped:stat", before, records, stats, days, ranked,
+                         ranked[:1], cset)
 
     # plan / validate rounds: round r sizes on the r + 1 best-ranked
     # windows, so a failed round backtracks to the next-ranked window
@@ -433,10 +429,9 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
         prog = _stage("plan", build_toep, net, profiles, monitored,
                       cset.buses, cfg.bess)
         plan_ = _stage("plan", solve_plan, prog, cfg.solver)
-        if stop_after == "plan":
-            return PvmReport("stopped:plan", tuple(records), stats,
-                             tuple(days), tuple(ranked), tuple(used), cset,
-                             plan_, (), (), before, {})
+        if command == "plan":
+            return PvmReport("stopped:plan", before, records, stats, days,
+                             ranked, used, cset, plan_)
         verdict = _stage(
             "validate", validate_plan, net, profiles, plan_, cfg=cfg.solver,
             threads=cfg.threads, round_index=round_index)
@@ -456,7 +451,7 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
     after = voltage_summary(net.ids, np.sqrt(verdicts[-1].v_sq))
 
     rows = ()
-    if economics and status == "pass":
+    if command in ("economics", "run") and status == "pass":
         scope = monitored if cfg.economics_scope == "window" \
             else range(profiles.n_hours)
         empty = BessPlan.empty(spec=cfg.bess)
@@ -471,9 +466,8 @@ def run_pvm(cfg: PvmConfig, stop_after=None, economics=True) -> PvmReport:
             {label: (base_run.cost, base_run.losses_kwh)},
             {label: (bess_run.cost, bess_run.losses_kwh)}))
 
-    return PvmReport(status, tuple(records), stats, tuple(days),
-                     tuple(ranked), tuple(used), cset, plan_,
-                     tuple(verdicts), rows, before, after, tuple(notes))
+    return PvmReport(status, before, records, stats, days, ranked, used, cset,
+                     plan_, tuple(verdicts), rows, after, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -515,24 +509,23 @@ def emit_reports(report: PvmReport, outdir) -> dict:
                [(r.bus, r.hour, str(r.when), r.voltage, r.severity, r.kind)
                 for r in report.violations])
 
-    day_rows = scored_day_rows(report.scored_days)
     _write_csv(out("scored_days.csv"),
-               list(day_rows[0]) if day_rows else
-               ["date", "count", "total_sev", "max_sev", "duration", "score"],
-               [list(row.values()) for row in day_rows])
+               ["date", "count", "total_sev", "max_sev", "duration",
+                "score"] + [f"norm_{k}" for k in METRICS],
+               [[str(d.date), d.count, d.total_sev, d.max_sev, d.duration,
+                 d.score] + [d.norm[k] for k in METRICS]
+                for d in report.scored_days])
 
-    wrows = window_rows(report.windows)
-    used = set(report.windows_used)
     _write_csv(out("windows.csv"),
                ["rank", "start", "end", "days", "score", "used"],
-               [list(row.values()) + [report.windows[i] in used]
-                for i, row in enumerate(wrows)])
+               [(i + 1, str(w.start), str(w.end), w.days, w.score,
+                 w in report.windows_used)
+                for i, w in enumerate(report.windows)])
 
-    crows = candidate_rows(report.candidates) if report.candidates else []
-    _write_csv(out("candidates.csv"),
-               ["bus", "m_comb", "cluster", "accepted", "reason"],
-               [[row["bus"], row["m_comb"], row["cluster"], row["accepted"],
-                 row["reason"]] for row in crows])
+    header = ["bus", "m_comb", "cluster", "accepted", "reason"]
+    _write_csv(out("candidates.csv"), header,
+               [[row[k] for k in header] for row in
+                (report.candidates.provenance if report.candidates else ())])
 
     prows = []
     if report.plan is not None:
@@ -628,35 +621,43 @@ def build_parser():
     return p
 
 
-def _classify(exc: StageError) -> int:
-    if exc.stage in ("config", "input"):
-        return 2
-    cause = exc.__cause__
-    if isinstance(cause, (PlanError, ArithmeticError)):
+def _classify(exc: Exception) -> int:
+    """Exit code of an exception main caught: 2 for a config or input
+    error, 3 for a planning or solver one. A StageError is judged by its
+    stage and its cause, any other exception, raised outside a stage,
+    by itself."""
+    if isinstance(exc, StageError):
+        if exc.stage in ("config", "input"):
+            return 2
+        exc = exc.__cause__
+    if isinstance(exc, (PlanError, ArithmeticError)):
         return 3
-    if isinstance(cause, (NetworkError, ScenarioError, ValueError, KeyError,
-                          TypeError, OSError)):
+    if isinstance(exc, (NetworkError, ScenarioError, ValueError, KeyError,
+                        TypeError, OSError)):
         return 2
     return 3
+
+
+def _configure(args) -> PvmConfig:
+    """The config file's PvmConfig with the command-line overrides."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, scenarios=replace(cfg.scenarios, seed=args.seed))
+    if args.out is not None:
+        cfg = replace(cfg, outdir=args.out)
+    if args.threads is not None:
+        cfg = replace(cfg, threads=args.threads)
+    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, scenarios=replace(cfg.scenarios,
-                                                 seed=args.seed))
-        if args.out is not None:
-            cfg = replace(cfg, outdir=args.out)
-        if args.threads is not None:
-            cfg = replace(cfg, threads=args.threads)
-
+        cfg = _stage("config", _configure, args)
         if args.command == "scenarios":
             return _emit_scenarios(cfg)
 
-        report = run_pvm(cfg, stop_after=args.command,
-                         economics=args.command in ("economics", "run"))
+        report = run_pvm(cfg, args.command)
         emit_reports(report, cfg.outdir)
         if args.command == "economics" and report.economics:
             for row in report.economics:
@@ -668,15 +669,11 @@ def main(argv=None) -> int:
         print(f"status={report.status} violations={len(report.violations)} "
               f"capacity_kwh={cap:.1f} reports={cfg.outdir}")
         return 0 if report.status != "fail" else 1
-    except StageError as exc:
-        print(exc, file=sys.stderr)
+    except Exception as exc:
+        # outside a stage main only writes the reports
+        print(exc if isinstance(exc, StageError) else f"[output] {exc}",
+              file=sys.stderr)
         return _classify(exc)
-    except (NetworkError, ScenarioError, ValueError, OSError) as exc:
-        print(f"[input] {exc}", file=sys.stderr)
-        return 2
-    except (PlanError, RuntimeError) as exc:
-        print(f"[solver] {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -433,25 +433,3 @@ def diversity_filter(pool, net: Network, threshold=None, target=None) \
                            f"threshold")
     return CandidateSet(tuple(f.bus for f in accepted), tuple(rows))
 
-
-def scored_day_rows(days) -> list:
-    """Flat dict rows of the scored-day table (one per date)."""
-    out = []
-    for d in days:
-        row = {"date": str(d.date), "count": d.count,
-               "total_sev": d.total_sev, "max_sev": d.max_sev,
-               "duration": d.duration, "score": d.score}
-        for k in METRICS:
-            row[f"norm_{k}"] = (d.norm or {}).get(k, "")
-        out.append(row)
-    return out
-
-
-def window_rows(windows) -> list:
-    return [{"rank": i + 1, "start": str(w.start), "end": str(w.end),
-             "days": w.days, "score": w.score}
-            for i, w in enumerate(windows)]
-
-
-def candidate_rows(cset: CandidateSet) -> list:
-    return [dict(row) for row in cset.provenance]

@@ -324,6 +324,15 @@ class TestMISOCP:
             max(1.0, abs(res.objective))
         assert res.gap > 1e-6
 
+    def test_interior_point_noise_rounds_to_zero(self):
+        # the interior point leaves an unused installation flag near
+        # 1e-6, not at 0; rounding installs only flags above INT_TOL
+        prog = ConicProgram()
+        for name in "abc":
+            prog.add_var(name, binary=True)
+        assert conic._heuristic_fixes(prog, [2e-6, 0.3, 1.0 - 2e-6]) == \
+            {0: 0.0, 1: 1.0, 2: 1.0}
+
     def test_bound_and_incumbent_monotone(self):
         trace = []
         res = solve_misocp(make_facility_instance(42, 6),

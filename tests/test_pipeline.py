@@ -10,7 +10,10 @@ line feeder over one day whose evening peak undervolts the far end.
 Each command must exit 0 with its status in summary.json, and write the
 same report bytes twice for one --seed, the second time on two threads.
 A passing plan's validated voltages lie within the limits up to
-VALIDATION_TOL. An unknown config key exits 2; a storage cap far below
+VALIDATION_TOL. An unknown config key or a mistyped value exits 2, and
+an error while writing the reports, outside any stage, exits 2 or 3 by
+its type, never 1. Each report table has one header: scored_days.csv
+keeps its ten columns when no day was scored. A storage cap far below
 what the peak needs, or a node limit that stops sizing with a minimum
 unit size before any integer solution, exits 3 from the plan stage; the
 first names the hours no capacity can fix after a one-node sizing
@@ -52,7 +55,10 @@ from bessplan.pipeline import (_overlaid_profiles, load_config, main,
                                read_tariff)
 from bessplan.scenarios import (generate_annual, overlay_penetration,
                                 read_distributions)
+from bessplan.stat import (NodeFeatures, daily_metrics, diversity_filter,
+                           normalize_and_score, rank_windows)
 from bessplan.vva import ViolationRecord
+from helpers_power import feeder4
 
 FILES = ("scenarios.csv", "distributions.json", "profiles_overlaid.csv")
 HOURS = 48
@@ -256,6 +262,11 @@ def test_economics_cells_are_plain_floats(line_runs):
     ("bogus", 1, "unknown config keys: ['bogus']"),
     ("solver", {"big_m": "capacity"}, "unknown keys in 'solver'"),
     ("solver", {"time_limit": 60.0}, "unknown keys in 'solver'"),
+    ("threads", "2", "[config] threads must be an integer >= 1"),
+    ("threads", 1.5, "[config] threads must be an integer >= 1"),
+    ("backtrack_cap", "3", "[config] backtrack_cap must be an integer >= 1"),
+    ("outdir", 5, "[config] 'outdir' must be a path string"),
+    ("distributions", 3, "[config] 'distributions' must be a path string"),
 ])
 def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
                                       value, message):
@@ -267,6 +278,65 @@ def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
                  "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exc, code", [
+    (KeyError("no such column"), 2), (OSError("disk full"), 2),
+    (ZeroDivisionError("division by zero"), 3), (AttributeError("x"), 3)])
+def test_error_outside_a_stage_is_classified(line_inputs, tmp_path, capsys,
+                                             monkeypatch, exc, code):
+    # writing the reports is the one step main runs outside a stage
+    def failing(report, outdir):
+        raise exc
+
+    monkeypatch.setattr(pipeline, "emit_reports", failing)
+    assert main(["vva", "--config", str(line_inputs / "config.json"),
+                 "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith(f"[output] {exc}")
+
+
+SCORED_DAYS = ["date", "count", "total_sev", "max_sev", "duration", "score",
+               "norm_count", "norm_total_sev", "norm_max_sev",
+               "norm_duration"]
+
+
+def test_report_tables_are_written_from_the_domain_objects(tmp_path):
+    days = normalize_and_score(daily_metrics([
+        ViolationRecord(5, 20, np.datetime64("2030-01-01T20"), 0.93, 0.02,
+                        "under"),
+        ViolationRecord(5, 45, np.datetime64("2030-01-02T21"), 0.91, 0.04,
+                        "under")]))
+    wins = rank_windows(days, 1)
+    f = NodeFeatures(3, 0.0, 0.0, 0)
+    f.m_comb = 1.0
+    cset = diversity_filter([f], feeder4(), threshold=0.1, target=1)
+    pipeline.emit_reports(pipeline.PvmReport(
+        "stopped:stat", {}, scored_days=tuple(days), windows=tuple(wins),
+        windows_used=tuple(wins[:1]), candidates=cset), tmp_path)
+
+    def table(name):
+        with open(tmp_path / name, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    rows = table("scored_days.csv")
+    assert len(rows) == 2 and list(rows[0]) == SCORED_DAYS
+    assert [r["date"] for r in rows] == ["2030-01-01", "2030-01-02"]
+    assert rows[1]["norm_max_sev"] == "1.0" and rows[1]["score"] == "0.5"
+    rows = table("windows.csv")
+    assert (rows[0]["rank"], rows[0]["start"], rows[0]["used"]) == \
+        ("1", "2030-01-02", "True")
+    assert [r["used"] for r in rows[1:]] == ["False"] * (len(rows) - 1)
+    (row,) = table("candidates.csv")
+    assert (row["bus"], row["accepted"], row["reason"]) == ("3", "True", "ok")
+
+
+def test_empty_scored_days_keep_their_columns(line_runs, tmp_path):
+    # a run that stops before scoring, or needs no investment, writes
+    # the header of a scored run
+    pipeline.emit_reports(pipeline.PvmReport("no-investment", {}), tmp_path)
+    for out in (tmp_path, line_runs["vva", "a"][1], line_runs["run", "a"][1]):
+        with open(out / "scored_days.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == SCORED_DAYS
 
 
 def test_k_max_one_is_one_cluster_and_zero_exits_two(tmp_path, capsys):

@@ -12,13 +12,12 @@ import pytest
 
 from bessplan.netmodel import electrical_distance
 from bessplan.stat import (CandidateSet, CriticalWindow, DailyStress,
-                           NodeFeatures, build_pool, candidate_rows,
-                           cluster, combined_metric, daily_metrics,
-                           diversity_filter, kmeans, node_features,
-                           normalize_and_score, peak_severity_hour,
-                           rank_windows, scored_day_rows,
+                           NodeFeatures, build_pool, cluster,
+                           combined_metric, daily_metrics, diversity_filter,
+                           kmeans, node_features, normalize_and_score,
+                           peak_severity_hour, rank_windows,
                            select_worst_window, sensitivities,
-                           silhouette_score, window_hours, window_rows)
+                           silhouette_score, window_hours)
 from bessplan.vva import ViolationRecord
 from helpers_power import feeder, feeder2, feeder4, load_bundled, \
     profiles_from_rows, sweep_power_flow
@@ -570,20 +569,3 @@ class TestDiversityFilter:
         with pytest.raises(ValueError, match="empty"):
             diversity_filter([], feeder4())
 
-
-class TestReportRows:
-    def test_row_shapes(self):
-        days = normalize_and_score(daily_metrics([rec(0, 20, 0.02),
-                                                  rec(1, 21, 0.04)]))
-        rows = scored_day_rows(days)
-        assert len(rows) == 2
-        assert {"date", "count", "score", "norm_max_sev"} <= set(rows[0])
-        wins = rank_windows(days, 1)
-        wrows = window_rows(wins)
-        assert wrows[0]["rank"] == 1
-        net = feeder4()
-        f = NodeFeatures(3, 0.0, 0.0, 0)
-        f.m_comb = 1.0
-        crows = candidate_rows(diversity_filter([f], net, threshold=0.1,
-                                                target=1))
-        assert crows[0]["bus"] == 3 and crows[0]["accepted"]

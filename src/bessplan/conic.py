@@ -43,6 +43,10 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.mip_gap < 1.0:
             raise ValueError("mip_gap must be in (0, 1)")
+        for name in ("node_limit", "max_iters"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
 
 
 @dataclass

@@ -57,8 +57,10 @@ class Network:
     slack : positional index of the slack bus
     fidx, tidx : (m,) from/to positions per branch
     r, x : (m,) per-unit impedances
-    parent, parent_branch, depth : (n,) rooted-tree arrays (-1 at slack)
+    parent, parent_branch : (n,) rooted-tree arrays (-1 at slack)
     order : (n,) BFS order, parents before children
+    path : (n, m) path[j, k] is 1.0 where branch k lies between the slack
+        and bus j, else 0.0
     down : tuple of (k,) arrays, branch indices leaving each bus
     p_base_kw, q_base_kvar : (n,) base demand
     """
@@ -118,23 +120,26 @@ class Network:
             adj[b].append((a, k))
         parent = np.full(n, -1, dtype=np.intp)
         parent_branch = np.full(n, -1, dtype=np.intp)
-        depth = np.full(n, -1, dtype=np.intp)
+        seen = np.zeros(n, dtype=bool)
+        path = np.zeros((n, m))
         order = np.empty(n, dtype=np.intp)
-        depth[self.slack] = 0
+        seen[self.slack] = True
         order[0] = self.slack
         head, tail = 0, 1
         while head < tail:
             u = order[head]
             head += 1
             for v, k in adj[u]:
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
+                if not seen[v]:
+                    seen[v] = True
                     parent[v] = u
                     parent_branch[v] = k
+                    path[v] = path[u]
+                    path[v, k] = 1.0
                     order[tail] = v
                     tail += 1
         if tail != n:
-            missing = sorted(ids[i] for i in range(n) if depth[i] < 0)
+            missing = sorted(ids[i] for i in range(n) if not seen[i])
             raise NetworkError(f"disconnected graph: unreachable buses {missing}")
 
         oriented = []
@@ -157,8 +162,8 @@ class Network:
              for br in oriented], dtype=float))
         self.parent = _frozen(parent)
         self.parent_branch = _frozen(parent_branch)
-        self.depth = _frozen(depth)
         self.order = _frozen(order)
+        self.path = _frozen(path)
         down = [[] for _ in range(n)]
         for k in range(m):
             down[self.fidx[k]].append(k)
@@ -286,34 +291,21 @@ def _as_dict(document):
 
 
 def electrical_distance(net: Network, a, b) -> float:
-    """Sum of |r + jx| over the unique a-b tree path, p.u.
+    """Sum of |r + jx| over the unique a-b tree path, p.u.: the branches
+    on exactly one of the two buses' paths from the slack.
 
     Per-branch magnitudes are summed (not the magnitude of the complex sum)
     so the metric is exactly additive along any path, which the selection
     logic relies on.
     """
     i, j = net._pos(a), net._pos(b)
-    zm = np.hypot(net.r, net.x)
-    d = 0.0
-    while net.depth[i] > net.depth[j]:
-        d += zm[net.parent_branch[i]]
-        i = net.parent[i]
-    while net.depth[j] > net.depth[i]:
-        d += zm[net.parent_branch[j]]
-        j = net.parent[j]
-    while i != j:
-        d += zm[net.parent_branch[i]] + zm[net.parent_branch[j]]
-        i, j = net.parent[i], net.parent[j]
-    return d
+    return float(np.hypot(net.r, net.x) @ (net.path[i] != net.path[j]))
 
 
 def leaf_buses(net: Network) -> set:
-    """All non-slack buses of degree 1, as bus ids."""
-    deg = np.zeros(net.n_bus, dtype=int)
-    np.add.at(deg, net.fidx, 1)
-    np.add.at(deg, net.tidx, 1)
+    """All non-slack buses that feed no branch, as bus ids."""
     return {net.ids[i] for i in range(net.n_bus)
-            if deg[i] == 1 and i != net.slack}
+            if i != net.slack and not len(net.down[i])}
 
 
 # LoadProfileSet.from_csv parses this many lines per block, so a

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -145,15 +146,20 @@ _PATHS = ("network", "profiles", "tariff", "outdir", "distributions")
 # table-valued keys of the config root and the dataclass each parses into
 _SECTIONS = {"scenarios": ScenarioParams, "stat": StatParams,
              "bess": BessSpec, "solver": SolverConfig}
+# the JSON value types a table field of each annotated type takes
+_JSON_TYPES = {int: {int}, float: {int, float}, tuple: {list},
+               type(None): {type(None)}}
 
 
 def _section(doc, cls, key=None, base=""):
     """Build cls from one JSON table: the config root if key is None,
     else the table under key.
 
-    Lists become tuples, tables (null for the defaults) parse into their
-    _SECTIONS class and relative paths join base. An unknown or missing
-    key, a wrong type or a bad value is a config error.
+    Lists become tuples, tables parse into their _SECTIONS class (null
+    or absent for the defaults) and relative paths join base. An unknown
+    or missing key, a table value of a JSON type its field's annotation
+    does not take (_JSON_TYPES), or another wrong type or bad value is a
+    config error.
     """
     if not isinstance(doc, dict):
         raise StageError("config", f"'{key}' must be a table of fields"
@@ -167,11 +173,19 @@ def _section(doc, cls, key=None, base=""):
                f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise StageError("config", f"missing required keys: {missing}")
+    hints = typing.get_type_hints(cls) if key else {}
     kv = {}
     for name, value in doc.items():
+        hint = hints.get(name)
+        if hint and not any(type(value) in _JSON_TYPES[kind] for kind in
+                            typing.get_args(hint) or (hint,)):
+            raise StageError("config", f"'{key}': {name} must be "
+                             f"{getattr(hint, '__name__', hint)}, not "
+                             f"{json.dumps(value)}")
         if name in _SECTIONS:
-            value = _section({} if value is None else value,
-                             _SECTIONS[name], name)
+            if value is None:
+                continue
+            value = _section(value, _SECTIONS[name], name)
         elif name in _PATHS and value is not None:
             if not isinstance(value, str):
                 raise StageError("config", f"'{name}' must be a path string")

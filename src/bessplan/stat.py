@@ -9,6 +9,7 @@ violating buses into a small candidate set.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -179,11 +180,11 @@ def _snapshot_profiles(net, p_kw, q_kvar):
 
 
 def _slack_at(net, hour):
-    """The network with its slack voltage schedule fixed at one hour."""
-    if isinstance(net.slack_voltage, float):
-        return net
-    return Network(net.name, net.buses, net.branches, net.s_base_mva,
-                   net.v_base_kv, net.v_lower, net.v_upper, net.slack_v(hour))
+    """The network with its slack voltage schedule fixed at one hour: a
+    copy that shares the original's frozen arrays."""
+    fixed = copy.copy(net)
+    fixed.slack_voltage = net.slack_v(hour)
+    return fixed
 
 
 def sensitivities(net: Network, p_kw, q_kvar, buses, base, cfg=None,

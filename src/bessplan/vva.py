@@ -123,8 +123,7 @@ def _hour_block(prog, net, p_pu, q_pu, t, vs_sq, v_bounds=None,
         prog.add_eq({v[i]: 1.0, v[j]: -1.0, P[e]: -2.0 * r,
                      Q[e]: -2.0 * x, L[e]: r * r + x * x}, 0.0)
         prog.add_rotated_cone(v[i], L[e], [P[e], Q[e]])
-        if net.i_sq_limit[e] is not None and \
-                math.isfinite(net.i_sq_limit[e]):
+        if math.isfinite(net.i_sq_limit[e]):
             prog.add_ineq({L[e]: 1.0}, float(net.i_sq_limit[e]))
     return v, P, Q, L, ps, qs
 
@@ -150,14 +149,7 @@ def power_flow(net: Network, p_kw, q_kvar, v_slack):
     p = net.to_pu_power(p_kw)
     q = net.to_pu_power(q_kvar)
     vs = np.asarray(v_slack, dtype=float) ** 2
-    # path[j, e] = 1 where branch e lies between the slack and bus j
-    path = np.zeros((n, m))
-    for j in net.order:
-        if j != net.slack:
-            e = net.parent_branch[j]
-            path[j] = path[net.fidx[e]]
-            path[j, e] = 1.0
-    below = path.T              # below[e, j]: bus j lies below branch e
+    below = net.path.T          # below[e, j]: bus j lies below branch e
     sub = below[:, net.tidx]    # sub[e, f]: branch f lies at or below e
     r, x = net.r[:, None], net.x[:, None]
     z_sq = r * r + x * x
@@ -168,7 +160,7 @@ def power_flow(net: Network, p_kw, q_kvar, v_slack):
         for _ in range(SWEEP_LIMIT):
             P = below @ p + sub @ (r * L)
             Q = below @ q + sub @ (x * L)
-            nv = vs - path @ (2.0 * (r * P + x * Q) - z_sq * L)
+            nv = vs - net.path @ (2.0 * (r * P + x * Q) - z_sq * L)
             v_from = nv[net.fidx]
             if not np.all(v_from > 0.0):
                 raise PowerFlowError("power-flow sweep: voltage collapsed")
@@ -180,15 +172,6 @@ def power_flow(net: Network, p_kw, q_kvar, v_slack):
                 return v, L, P, Q
     raise PowerFlowError(f"power-flow sweep did not converge in "
                          f"{SWEEP_LIMIT} sweeps")
-
-
-def _extract_hour(net, res, t):
-    n, m = net.n_bus, net.n_branch
-    v = np.array([res.x[f"v[{i},{t}]"] for i in range(n)])
-    P = np.array([res.x[f"P[{e},{t}]"] for e in range(m)])
-    Q = np.array([res.x[f"Q[{e},{t}]"] for e in range(m)])
-    L = np.array([res.x[f"l[{e},{t}]"] for e in range(m)])
-    return v, P, Q, L, res.x[f"Ps[{t}]"]
 
 
 def run_vva(net: Network, profiles: LoadProfileSet,
@@ -213,29 +196,19 @@ def run_vva(net: Network, profiles: LoadProfileSet,
         prog = ConicProgram(f"vva-{net.name}-h{t}")
         p_pu = net.to_pu_power(p_kw[t])
         q_pu = net.to_pu_power(q_kvar[t])
-        _, _, _, L, _, _ = _hour_block(prog, net, p_pu, q_pu, t,
-                                       net.slack_v(t) ** 2)
+        v, P, Q, L, ps, _ = _hour_block(prog, net, p_pu, q_pu, t,
+                                        net.slack_v(t) ** 2)
         prog.minimize({L[e]: net.r[e] for e in range(m)})
         res = solve_relaxation(prog, cfg)
         if res.status != "optimal":
             raise RuntimeError(f"screening hour {t}: solver status "
                                f"{res.status}")
-        return _extract_hour(net, res, t)
+        return [res.x[name] for name in (*v, *L, *P, *Q, ps)]
 
-    parts = pmap(solve_one, hours, threads)
-
-    T = len(hours)
-    v_sq = np.empty((n, T))
-    i_sq = np.empty((m, T))
-    p_flow = np.empty((m, T))
-    q_flow = np.empty((m, T))
-    p_slack = np.empty(T)
-    for k, (v, P, Q, L, ps) in enumerate(parts):
-        v_sq[:, k] = v
-        i_sq[:, k] = L
-        p_flow[:, k] = P
-        q_flow[:, k] = Q
-        p_slack[k] = ps
+    # one column per hour: v, l, P and Q, then the slack injection
+    cols = np.column_stack(pmap(solve_one, hours, threads))
+    v_sq, i_sq, p_flow, q_flow = np.split(cols[:-1], np.cumsum([n, m, m]))
+    p_slack = cols[-1]
     losses = net.r @ i_sq
 
     slack = v_sq[net.fidx, :] * i_sq - p_flow ** 2 - q_flow ** 2

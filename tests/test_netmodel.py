@@ -151,31 +151,35 @@ class TestElectricalDistance:
         assert electrical_distance(net, 1, 2) == pytest.approx(0.5)
 
     def test_33_bus_against_bfs_oracle(self):
-        net = load_bundled("ieee33")
-        # independent oracle: BFS over raw adjacency, per-branch |r+jx| summed
-        adj = {}
-        for br in net.branches:
-            z = abs(br.r_pu + 1j * br.x_pu)
-            adj.setdefault(br.from_bus, []).append((br.to_bus, z))
-            adj.setdefault(br.to_bus, []).append((br.from_bus, z))
+        net33, net69 = load_bundled("ieee33"), load_bundled("ieee69")
+        cases = [(net33, [(18, 33), (1, 18), (22, 25), (6, 29), (2, 2)]),
+                 (net69, [(a, b) for a in net69.ids for b in net69.ids])]
+        for net, pairs in cases:
+            # independent oracle: BFS over raw adjacency, per-branch
+            # |r+jx| summed
+            adj = {}
+            for br in net.branches:
+                z = abs(br.r_pu + 1j * br.x_pu)
+                adj.setdefault(br.from_bus, []).append((br.to_bus, z))
+                adj.setdefault(br.to_bus, []).append((br.from_bus, z))
 
-        def oracle(a, b):
-            frontier, seen = [(a, 0.0)], {a}
-            while frontier:
-                nxt = []
-                for node, z in frontier:
-                    if node == b:
-                        return z
-                    for nb, zb in adj[node]:
-                        if nb not in seen:
-                            seen.add(nb)
-                            nxt.append((nb, z + zb))
-                frontier = nxt
-            raise AssertionError("unreached")
+            def oracle(a, b):
+                frontier, seen = [(a, 0.0)], {a}
+                while frontier:
+                    nxt = []
+                    for node, z in frontier:
+                        if node == b:
+                            return z
+                        for nb, zb in adj[node]:
+                            if nb not in seen:
+                                seen.add(nb)
+                                nxt.append((nb, z + zb))
+                    frontier = nxt
+                raise AssertionError("unreached")
 
-        for a, b in [(18, 33), (1, 18), (22, 25), (6, 29), (2, 2)]:
-            assert electrical_distance(net, a, b) == pytest.approx(
-                oracle(a, b), abs=1e-12)
+            for a, b in pairs:
+                assert electrical_distance(net, a, b) == pytest.approx(
+                    oracle(a, b), abs=1e-12)
 
     def test_triangle_equality_on_path(self):
         net = load_bundled("ieee33")

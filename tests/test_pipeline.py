@@ -10,9 +10,11 @@ line feeder over one day whose evening peak undervolts the far end.
 Each command must exit 0 with its status in summary.json, and write the
 same report bytes twice for one --seed, the second time on two threads.
 A passing plan's validated voltages lie within the limits up to
-VALIDATION_TOL. An unknown config key or a mistyped value exits 2, and
-an error while writing the reports, outside any stage, exits 2 or 3 by
-its type, never 1. Each report table has one header: scored_days.csv
+VALIDATION_TOL. An unknown config key, a mistyped value or a table
+value whose JSON type its field does not take exits 2 before any stage
+runs, and a null table means the same as an absent one. An error while
+writing the reports, outside any stage, exits 2 or 3 by its type,
+never 1. Each report table has one header: scored_days.csv
 keeps its ten columns when no day was scored. A storage cap far below
 what the peak needs, or a node limit that stops sizing with a minimum
 unit size before any integer solution, exits 3 from the plan stage; the
@@ -267,6 +269,14 @@ def test_economics_cells_are_plain_floats(line_runs):
     ("backtrack_cap", "3", "[config] backtrack_cap must be an integer >= 1"),
     ("outdir", 5, "[config] 'outdir' must be a path string"),
     ("distributions", 3, "[config] 'distributions' must be a path string"),
+    ("stat", {"window_days": "3"}, "[config] 'stat': window_days must be int"),
+    ("bess", {"e_max_kwh": True}, "[config] 'bess': e_max_kwh must be float"),
+    ("solver", {"max_iters": 0},
+     "[config] 'solver': max_iters must be an integer >= 1"),
+    ("solver", {"max_iters": -1},
+     "[config] 'solver': max_iters must be an integer >= 1"),
+    ("solver", {"node_limit": 0},
+     "[config] 'solver': node_limit must be an integer >= 1"),
 ])
 def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
                                       value, message):
@@ -274,10 +284,28 @@ def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
     doc[key] = value
     path = line_inputs / "unknown.json"
     path.write_text(json.dumps(doc))
-    assert main(["stat", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for cmd in ("stat", "vva"):
+        assert main([cmd, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_null_solver_table_means_no_solver_key(line_inputs, line_runs,
+                                               tmp_path):
+    doc = json.loads((line_inputs / "config.json").read_text())
+    assert "solver" not in doc
+    doc["solver"] = None
+    path = line_inputs / "null_solver.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out),
+                 "--seed", "3"]) == 0
+    want = line_runs["run", "a"][1]
+    names = sorted(p.name for p in want.iterdir())
+    assert names == sorted(p.name for p in out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("exc, code", [

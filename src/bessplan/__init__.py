@@ -1,8 +1,6 @@
 """Voltage-violation screening and battery-storage planning for radial feeders."""
 
 from .netmodel import (
-    Branch,
-    Bus,
     LoadProfileSet,
     Network,
     NetworkError,
@@ -13,8 +11,6 @@ from .netmodel import (
 )
 
 __all__ = [
-    "Branch",
-    "Bus",
     "LoadProfileSet",
     "Network",
     "NetworkError",

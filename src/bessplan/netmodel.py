@@ -1,16 +1,16 @@
 """Radial feeder data model, topology queries, and load-profile storage.
 
 Everything downstream (power-flow screening, storage planning, validation)
-assumes the network loaded here is a tree rooted at a single slack bus.
-Impedances are converted to per-unit at ingestion; load profiles are kept in
-kW / kvar and converted by the model builders that need per-unit.
+assumes the network loaded here is a tree rooted at a single slack bus,
+held as per-bus and per-branch arrays. Impedances are converted to per-unit
+at ingestion; load profiles are kept in kW / kvar and converted by the model
+builders that need per-unit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -21,56 +21,41 @@ class NetworkError(ValueError):
     """Raised for any malformed network document."""
 
 
-@dataclass(frozen=True)
-class Bus:
-    id: int
-    kind: str  # "slack" or "pq"
-    p_base_kw: float
-    q_base_kvar: float
-
-
-@dataclass(frozen=True)
-class Branch:
-    from_bus: int
-    to_bus: int
-    r_pu: float
-    x_pu: float
-    i_sq_limit_pu: float | None = None  # squared-current cap, p.u.
-
-
 _BUS_KEYS = {"id", "kind", "p_base_kw", "q_base_kvar"}
 _BRANCH_KEYS = {"from", "to", "r_ohm", "x_ohm", "r_pu", "x_pu", "i_limit_a"}
 _TOP_KEYS = {"buses", "branches", "bases", "limits", "name", "slack_voltage_pu"}
 
 
 class Network:
-    """Immutable rooted radial network.
+    """Immutable rooted radial network, held as per-bus and per-branch arrays.
 
-    Branches are re-oriented parent -> child during construction (declaration
-    order preserved). Index arrays use positional bus indices, not ids.
+    load_network passes the parsed columns in file order: ends are
+    (from id, to id) pairs, and i_sq_limit is nan where uncapped. Branches
+    are re-oriented parent -> child during construction (declaration order
+    preserved). Index arrays use positional bus indices, not ids.
 
     Attributes
     ----------
-    buses, branches : tuples of Bus / Branch (branches oriented downstream)
     ids : tuple of bus ids, file order
     idx : dict id -> position
     slack : positional index of the slack bus
-    fidx, tidx : (m,) from/to positions per branch
+    fidx, tidx : (m,) from/to positions per branch, oriented downstream
     r, x : (m,) per-unit impedances
+    i_sq_limit : (m,) squared-current cap, p.u. (nan where uncapped)
     parent, parent_branch : (n,) rooted-tree arrays (-1 at slack)
     order : (n,) BFS order, parents before children
     path : (n, m) path[j, k] is 1.0 where branch k lies between the slack
         and bus j, else 0.0
     down : tuple of (k,) arrays, branch indices leaving each bus
     p_base_kw, q_base_kvar : (n,) base demand
+    s_base_mva, v_lower, v_upper : power base and voltage limits, p.u.
+    slack_voltage : float, or (H,) schedule of slack voltage, p.u.
     """
 
-    def __init__(self, name, buses, branches, s_base_mva, v_base_kv,
-                 v_lower, v_upper, slack_voltage=1.0):
+    def __init__(self, name, ids, kinds, p_base_kw, q_base_kvar, ends, r, x,
+                 i_sq_limit, s_base_mva, v_lower, v_upper, slack_voltage=1.0):
         self.name = name
-        self.buses = tuple(buses)
         self.s_base_mva = float(s_base_mva)
-        self.v_base_kv = float(v_base_kv)
         self.v_lower = float(v_lower)
         self.v_upper = float(v_upper)
         if np.ndim(slack_voltage) == 0:
@@ -78,14 +63,13 @@ class Network:
         else:
             self.slack_voltage = _frozen(np.asarray(slack_voltage, dtype=float))
 
-        ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise NetworkError(f"duplicate ids: buses {dup} declared more than once")
         self.ids = tuple(ids)
         self.idx = {bid: i for i, bid in enumerate(ids)}
 
-        slacks = [i for i, b in enumerate(self.buses) if b.kind == "slack"]
+        slacks = [i for i, kind in enumerate(kinds) if kind == "slack"]
         if len(slacks) == 0:
             raise NetworkError("missing slack: no bus has kind 'slack'")
         if len(slacks) > 1:
@@ -93,29 +77,26 @@ class Network:
                 f"duplicate ids: more than one slack bus ({[ids[i] for i in slacks]})")
         self.slack = slacks[0]
 
-        n = len(self.buses)
-        m = len(branches)
+        n, m = len(ids), len(ends)
         if m != n - 1:
             raise NetworkError(
                 f"non-radial topology: {m} branches for {n} buses (need {n - 1})")
 
-        for br in branches:
-            if br.from_bus not in self.idx or br.to_bus not in self.idx:
-                raise NetworkError(
-                    f"unknown bus id in branch {br.from_bus}-{br.to_bus}")
-            if br.from_bus == br.to_bus:
-                raise NetworkError(f"non-radial topology: self-loop at bus {br.from_bus}")
-            if br.r_pu < 0 or br.x_pu < 0:
-                raise NetworkError(
-                    f"negative impedance on branch {br.from_bus}-{br.to_bus}")
-        pairs = {frozenset((br.from_bus, br.to_bus)) for br in branches}
-        if len(pairs) != m:
+        for (a, b), r_k, x_k in zip(ends, r, x):
+            if a not in self.idx or b not in self.idx:
+                raise NetworkError(f"unknown bus id in branch {a}-{b}")
+            if a == b:
+                raise NetworkError(f"non-radial topology: self-loop at bus {a}")
+            if r_k < 0 or x_k < 0:
+                raise NetworkError(f"negative impedance on branch {a}-{b}")
+        if len({frozenset(ab) for ab in ends}) != m:
             raise NetworkError("non-radial topology: parallel branch pair")
 
         # Root at the slack: BFS assigns each bus its parent and feeding branch.
+        fidx = np.array([self.idx[a] for a, _ in ends], dtype=np.intp)
+        tidx = np.array([self.idx[b] for _, b in ends], dtype=np.intp)
         adj = [[] for _ in range(n)]
-        for k, br in enumerate(branches):
-            a, b = self.idx[br.from_bus], self.idx[br.to_bus]
+        for k, (a, b) in enumerate(zip(fidx.tolist(), tidx.tolist())):
             adj[a].append((b, k))
             adj[b].append((a, k))
         parent = np.full(n, -1, dtype=np.intp)
@@ -142,24 +123,13 @@ class Network:
             missing = sorted(ids[i] for i in range(n) if not seen[i])
             raise NetworkError(f"disconnected graph: unreachable buses {missing}")
 
-        oriented = []
-        for k, br in enumerate(branches):
-            a, b = self.idx[br.from_bus], self.idx[br.to_bus]
-            if parent[b] == a:
-                oriented.append(br)
-            else:
-                oriented.append(Branch(br.to_bus, br.from_bus, br.r_pu, br.x_pu,
-                                       br.i_sq_limit_pu))
-        self.branches = tuple(oriented)
-        self.fidx = _frozen(np.array([self.idx[br.from_bus] for br in oriented],
-                                     dtype=np.intp))
-        self.tidx = _frozen(np.array([self.idx[br.to_bus] for br in oriented],
-                                     dtype=np.intp))
-        self.r = _frozen(np.array([br.r_pu for br in oriented], dtype=float))
-        self.x = _frozen(np.array([br.x_pu for br in oriented], dtype=float))
-        self.i_sq_limit = _frozen(np.array(
-            [np.nan if br.i_sq_limit_pu is None else br.i_sq_limit_pu
-             for br in oriented], dtype=float))
+        # a branch declared child -> parent is flipped
+        keep = parent[tidx] == fidx
+        self.fidx = _frozen(np.where(keep, fidx, tidx))
+        self.tidx = _frozen(np.where(keep, tidx, fidx))
+        self.r = _frozen(np.array(r, dtype=float))
+        self.x = _frozen(np.array(x, dtype=float))
+        self.i_sq_limit = _frozen(np.array(i_sq_limit, dtype=float))
         self.parent = _frozen(parent)
         self.parent_branch = _frozen(parent_branch)
         self.order = _frozen(order)
@@ -168,16 +138,16 @@ class Network:
         for k in range(m):
             down[self.fidx[k]].append(k)
         self.down = tuple(_frozen(np.array(d, dtype=np.intp)) for d in down)
-        self.p_base_kw = _frozen(np.array([b.p_base_kw for b in self.buses]))
-        self.q_base_kvar = _frozen(np.array([b.q_base_kvar for b in self.buses]))
+        self.p_base_kw = _frozen(np.array(p_base_kw, dtype=float))
+        self.q_base_kvar = _frozen(np.array(q_base_kvar, dtype=float))
 
     @property
     def n_bus(self):
-        return len(self.buses)
+        return len(self.ids)
 
     @property
     def n_branch(self):
-        return len(self.branches)
+        return len(self.r)
 
     def slack_v(self, hour):
         """Slack voltage magnitude (p.u.) for an absolute hour index."""
@@ -245,7 +215,7 @@ def load_network(document) -> Network:
     if not 0 < v_lo < v_hi:
         raise NetworkError("voltage limits must satisfy 0 < v_lower < v_upper")
 
-    buses = []
+    ids, kinds, p_kw, q_kvar = [], [], [], []
     for rec in doc["buses"]:
         unknown = set(rec) - _BUS_KEYS
         if unknown:
@@ -253,24 +223,24 @@ def load_network(document) -> Network:
         kind = rec.get("kind", "pq")
         if kind not in ("slack", "pq", "load"):
             raise NetworkError(f"bus {rec.get('id')}: unknown kind '{kind}'")
-        buses.append(Bus(id=rec["id"],
-                         kind="slack" if kind == "slack" else "pq",
-                         p_base_kw=float(rec.get("p_base_kw", 0.0)),
-                         q_base_kvar=float(rec.get("q_base_kvar", 0.0))))
+        ids.append(rec["id"])
+        kinds.append(kind)
+        p_kw.append(float(rec.get("p_base_kw", 0.0)))
+        q_kvar.append(float(rec.get("q_base_kvar", 0.0)))
 
-    branches = []
+    ends, r, x, i_sq = [], [], [], []
     for rec in doc["branches"]:
         unknown = set(rec) - _BRANCH_KEYS
         if unknown:
             raise NetworkError(f"unknown branch keys: {sorted(unknown)}")
-        r = _impedance(rec, "r", z_base)
-        x = _impedance(rec, "x", z_base)
+        r.append(_impedance(rec, "r", z_base))
+        x.append(_impedance(rec, "x", z_base))
         lim = rec.get("i_limit_a")
-        lim_pu = None if lim is None else (float(lim) / i_base_a) ** 2
-        branches.append(Branch(rec["from"], rec["to"], r, x, lim_pu))
+        i_sq.append(math.nan if lim is None else (float(lim) / i_base_a) ** 2)
+        ends.append((rec["from"], rec["to"]))
 
-    return Network(doc.get("name", ""), buses, branches, s_mva, v_kv,
-                   v_lo, v_hi, doc.get("slack_voltage_pu", 1.0))
+    return Network(doc.get("name", ""), ids, kinds, p_kw, q_kvar, ends, r, x,
+                   i_sq, s_mva, v_lo, v_hi, doc.get("slack_voltage_pu", 1.0))
 
 
 def _impedance(rec, which, z_base):

@@ -44,7 +44,8 @@ from .scenarios import (ScenarioError, detect_events, extract_ev_load,
                         synth_households, write_distributions,
                         write_scenarios)
 from .stat import (CandidateSet, DEFAULT_WEIGHTS, DEFAULT_WINDOW_DAYS,
-                   METRICS, build_pool, cluster, combined_metric,
+                   METRICS, build_pool, check_quotas, check_window_days,
+                   checked_weights, cluster, combined_metric,
                    daily_metrics, diversity_filter, node_features,
                    normalize_and_score, peak_severity_hour, rank_windows,
                    sensitivities, window_hours)
@@ -52,7 +53,7 @@ from .stat import (CandidateSet, DEFAULT_WEIGHTS, DEFAULT_WINDOW_DAYS,
 # window is this choice. It stays a pipeline attribute because the
 # benchmark's layer tracer (perfbench/layertrace.py) wraps it there.
 from .stat import select_worst_window  # noqa: F401
-from .vva import detect_violations, node_stats, run_vva
+from .vva import node_stats, run_vva, violation_records
 
 BACKTRACK_CAP = 5
 
@@ -102,8 +103,13 @@ class StatParams:
     target: int | None = None        # diversity-filter target count
 
     def __post_init__(self):
+        checked_weights(self.weights)
+        check_window_days(self.window_days)
+        check_quotas(self.n_max_top, self.n_min_bottom)
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+        if self.target is not None and self.target < 1:
+            raise ValueError("target must be None or >= 1")
 
 
 @dataclass(frozen=True)
@@ -397,9 +403,10 @@ def run_pvm(cfg: PvmConfig, command: str) -> PvmReport:
 
     sol = _stage("vva", run_vva, net, profiles, cfg=cfg.solver,
                  threads=cfg.threads)
-    records = tuple(_stage("vva", detect_violations, sol, net.v_lower,
-                           net.v_upper))
-    before = voltage_summary(sol.bus_ids, sol.voltage())
+    records = tuple(_stage("vva", violation_records, net.ids, sol.hours,
+                           profiles.horizon[list(sol.hours)], sol.v_sq,
+                           net.v_lower, net.v_upper))
+    before = voltage_summary(net.ids, sol.voltage())
 
     if not records:
         return PvmReport(

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import LoadProfileSet, Network, scale_profiles
+from .netmodel import (LoadProfileSet, Network, _frozen, _own_frozen,
+                       scale_profiles)
 
 # Event rules on an hourly series: a session is a maximal run of hours
 # above P_RUN_KW lasting at least MIN_RUN_H, or any single hour above
@@ -149,15 +150,13 @@ class ScenarioSet:
     daily_prob: float
 
     def __post_init__(self):
-        s = np.asarray(self.series, dtype=float)
+        s = _own_frozen(self.series)
         if s.ndim != 2:
             raise ScenarioError("scenario series must be (n, hours)")
         if s.size and s.min() < 0:
             raise ScenarioError("scenario series must be non-negative")
         if len(self.events) != s.shape[0]:
             raise ScenarioError("event list length does not match scenario count")
-        s = s.copy()
-        s.setflags(write=False)
         object.__setattr__(self, "series", s)
         object.__setattr__(self, "events",
                            tuple(tuple(ev) for ev in self.events))
@@ -497,7 +496,7 @@ def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365):
     built = [_one_scenario(dist, daily_prob, seed, k, days)
              for k in range(n_scenarios)]
 
-    series = np.vstack([s for s, _ in built])
+    series = _frozen(np.vstack([s for s, _ in built]))
     events = tuple(ev for _, ev in built)
     return ScenarioSet(series, events, int(seed), float(daily_prob))
 

@@ -81,6 +81,30 @@ def daily_metrics(records) -> list:
             for d, (c, total, worst, hours) in sorted(by_date.items())]
 
 
+def checked_weights(weights=None):
+    """The metric weights (DEFAULT_WEIGHTS if None) as a float array;
+    raises unless they are 4 non-negative values summing to 1."""
+    w = np.asarray(DEFAULT_WEIGHTS if weights is None else weights,
+                   dtype=float)
+    if w.shape != (len(METRICS),) or not np.all(w >= 0) or \
+            not abs(w.sum() - 1.0) <= 1e-9:
+        raise ValueError("weights must be 4 non-negative values "
+                         "summing to 1")
+    return w
+
+
+def check_window_days(window_days):
+    """Raise unless a window spans at least one day."""
+    if window_days < 1:
+        raise ValueError("window_days must be >= 1")
+
+
+def check_quotas(n_max_top, n_min_bottom):
+    """Raise unless 1 <= n_min_bottom <= n_max_top."""
+    if not 1 <= n_min_bottom <= n_max_top:
+        raise ValueError("need 1 <= n_min_bottom <= n_max_top")
+
+
 def normalize_and_score(days, weights=None) -> list:
     """Min-max normalize each metric across days and combine.
 
@@ -89,12 +113,7 @@ def normalize_and_score(days, weights=None) -> list:
     """
     if not days:
         raise ValueError("no days to score")
-    w = np.asarray(DEFAULT_WEIGHTS if weights is None else weights,
-                   dtype=float)
-    if w.shape != (len(METRICS),) or np.any(w < 0) or \
-            abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be 4 non-negative values "
-                         "summing to 1")
+    w = checked_weights(weights)
     raw = np.array([[d.count, d.total_sev, d.max_sev, d.duration]
                     for d in days], dtype=float)
     lo = raw.min(axis=0)
@@ -132,8 +151,7 @@ def rank_windows(days, window_days=DEFAULT_WINDOW_DAYS) -> list:
     backtracking can reach every violating day, including one min-max
     scoring puts at 0 and one at the edge of the calendar.
     """
-    if window_days < 1:
-        raise ValueError("window length must be >= 1 day")
+    check_window_days(window_days)
     if not days:
         raise ValueError("no scored days")
     for d in days:
@@ -361,8 +379,7 @@ def build_pool(features, n_max_top=5, n_min_bottom=1) -> list:
     contributes its top round(quota_j) buses where the quota
     interpolates linearly from n_max_top down to n_min_bottom.
     """
-    if not 1 <= n_min_bottom <= n_max_top:
-        raise ValueError("need 1 <= n_min_bottom <= n_max_top")
+    check_quotas(n_max_top, n_min_bottom)
     by_cluster = {}
     for f in features:
         by_cluster.setdefault(f.cluster, []).append(f)

@@ -36,11 +36,10 @@ SWEEP_LIMIT = 500
 
 @dataclass
 class FlowSolution:
-    """Per-hour branch-flow results in p.u. on the network's bases."""
+    """Per-hour branch-flow results in p.u. on the network's bases; rows
+    follow the network's bus and branch order."""
 
-    bus_ids: tuple
     hours: tuple             # absolute hour indices into the profile horizon
-    times: tuple             # matching timestamps
     v_sq: np.ndarray         # (n_bus, T)
     i_sq: np.ndarray         # (n_branch, T)
     p_flow: np.ndarray       # (n_branch, T)
@@ -230,27 +229,18 @@ def run_vva(net: Network, profiles: LoadProfileSet,
             warnings.warn(f"cone relaxation loose on {len(loose)} "
                           f"branch-hours (max slack {worst:.3e}; {gap})",
                           RuntimeWarning, stacklevel=2)
-    times = tuple(profiles.horizon[t] for t in hours)
-    return FlowSolution(tuple(net.ids), tuple(hours), times, v_sq, i_sq,
-                        p_flow, q_flow, p_slack, losses, tuple(loose))
-
-
-def detect_violations(sol: FlowSolution, v_lower: float,
-                      v_upper: float) -> list:
-    """One record per bus-hour strictly outside [v_lower, v_upper].
-
-    Severity is the distance to the violated limit in p.u.
-    """
-    return violation_records(sol.bus_ids, sol.hours, sol.times, sol.v_sq,
-                             v_lower, v_upper)
+    return FlowSolution(tuple(hours), v_sq, i_sq, p_flow, q_flow, p_slack,
+                        losses, tuple(loose))
 
 
 def violation_records(bus_ids, hours, times, v_sq, v_lower: float,
                       v_upper: float) -> list:
-    """detect_violations on bare arrays, hour by hour in bus order.
+    """One record per bus-hour strictly outside [v_lower, v_upper], hour
+    by hour in bus order.
 
-    v_sq is (n_bus, T) squared voltage; hours[k] and times[k] label
-    its column k.
+    v_sq is (n_bus, T) squared voltage; bus_ids[i] labels its row i, and
+    hours[k] and times[k] its column k. Severity is the distance to the
+    violated limit in p.u.
     """
     volts = np.sqrt(v_sq)
     under = volts < v_lower

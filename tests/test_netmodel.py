@@ -1,6 +1,7 @@
 """Network model: loading, topology queries, profiles."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -29,6 +30,12 @@ def make_doc(buses, branches, **extra):
     return doc
 
 
+def bundled_doc(name):
+    """The packaged feeder document 'ieee33' or 'ieee69', unparsed."""
+    ref = resources.files("bessplan.data").joinpath(f"{name}.json")
+    return json.loads(ref.read_text())
+
+
 def two_bus_doc(r_pu=0.3, x_pu=0.4):
     return make_doc(
         [{"id": 1, "kind": "slack", "p_base_kw": 0, "q_base_kvar": 0},
@@ -42,7 +49,7 @@ class TestLoadNetwork:
         net = load_bundled("ieee33")
         assert net.n_bus == 33
         assert net.n_branch == 32
-        assert net.buses[net.slack].id == 1
+        assert net.ids[net.slack] == 1
         assert net.p_base_kw.sum() == pytest.approx(3715.0)
         assert net.q_base_kvar.sum() == pytest.approx(2300.0)
 
@@ -50,7 +57,7 @@ class TestLoadNetwork:
         net = load_bundled("ieee69")
         assert net.n_bus == 69
         assert net.n_branch == 68
-        assert net.buses[net.slack].id == 1
+        assert net.ids[net.slack] == 1
 
     def test_two_bus_document(self):
         net = load_network(two_bus_doc())
@@ -63,14 +70,9 @@ class TestLoadNetwork:
         assert net.parent[net.idx[1]] == -1
 
     def test_loop_branch_rejected(self):
-        ref = load_bundled("ieee33")
-        doc = make_doc(
-            [{"id": b.id, "kind": b.kind, "p_base_kw": b.p_base_kw,
-              "q_base_kvar": b.q_base_kvar} for b in ref.buses],
-            [{"from": br.from_bus, "to": br.to_bus, "r_pu": br.r_pu,
-              "x_pu": br.x_pu} for br in ref.branches]
-            + [{"from": 18, "to": 33, "r_pu": 0.5, "x_pu": 0.5}],
-        )
+        doc = bundled_doc("ieee33")
+        doc["branches"].append({"from": 18, "to": 33, "r_pu": 0.5,
+                                "x_pu": 0.5})
         with pytest.raises(NetworkError, match="non-radial"):
             load_network(doc)
 
@@ -137,8 +139,9 @@ class TestLoadNetwork:
         doc = two_bus_doc()
         doc["branches"][0] = {"from": 2, "to": 1, "r_pu": 0.3, "x_pu": 0.4}
         net = load_network(doc)
-        assert net.branches[0].from_bus == 1
-        assert net.branches[0].to_bus == 2
+        assert net.ids[net.fidx[0]] == 1
+        assert net.ids[net.tidx[0]] == 2
+        assert net.r[0] == 0.3 and net.x[0] == 0.4
 
 
 class TestElectricalDistance:
@@ -151,17 +154,20 @@ class TestElectricalDistance:
         assert electrical_distance(net, 1, 2) == pytest.approx(0.5)
 
     def test_33_bus_against_bfs_oracle(self):
-        net33, net69 = load_bundled("ieee33"), load_bundled("ieee69")
-        cases = [(net33, [(18, 33), (1, 18), (22, 25), (6, 29), (2, 2)]),
-                 (net69, [(a, b) for a in net69.ids for b in net69.ids])]
-        for net, pairs in cases:
-            # independent oracle: BFS over raw adjacency, per-branch
-            # |r+jx| summed
+        ids69 = [b["id"] for b in bundled_doc("ieee69")["buses"]]
+        cases = [("ieee33", [(18, 33), (1, 18), (22, 25), (6, 29), (2, 2)]),
+                 ("ieee69", [(a, b) for a in ids69 for b in ids69])]
+        for name, pairs in cases:
+            net = load_bundled(name)
+            # independent oracle: BFS over the document's raw adjacency,
+            # per-branch |r+jx| in p.u. summed
+            doc = bundled_doc(name)
+            z_base = doc["bases"]["v_kv"] ** 2 / doc["bases"]["s_mva"]
             adj = {}
-            for br in net.branches:
-                z = abs(br.r_pu + 1j * br.x_pu)
-                adj.setdefault(br.from_bus, []).append((br.to_bus, z))
-                adj.setdefault(br.to_bus, []).append((br.from_bus, z))
+            for br in doc["branches"]:
+                z = abs(br["r_ohm"] + 1j * br["x_ohm"]) / z_base
+                adj.setdefault(br["from"], []).append((br["to"], z))
+                adj.setdefault(br["to"], []).append((br["from"], z))
 
             def oracle(a, b):
                 frontier, seen = [(a, 0.0)], {a}
@@ -313,7 +319,7 @@ class TestProfiles:
         net = load_bundled("ieee33")
         rng = np.random.default_rng(11)
         horizon = np.datetime64("2025-06-09T00") + np.arange(48)
-        ids = [b.id for b in net.buses if b.kind != "slack"]
+        ids = [b for i, b in enumerate(net.ids) if i != net.slack]
         prof = LoadProfileSet(horizon, ids,
                               rng.uniform(0, 200, (48, len(ids))),
                               rng.uniform(0, 90, (48, len(ids))))

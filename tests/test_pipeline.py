@@ -277,6 +277,16 @@ def test_economics_cells_are_plain_floats(line_runs):
      "[config] 'solver': max_iters must be an integer >= 1"),
     ("solver", {"node_limit": 0},
      "[config] 'solver': node_limit must be an integer >= 1"),
+    ("stat", {"weights": [0.5, 0.5]}, "[config] 'stat': weights must be 4 "
+     "non-negative values summing to 1"),
+    ("stat", {"weights": [math.nan, 0.25, 0.25, 0.5]}, "[config] 'stat': "
+     "weights must be 4 non-negative values summing to 1"),
+    ("stat", {"window_days": 0}, "[config] 'stat': window_days must be >= 1"),
+    ("stat", {"n_max_top": 0},
+     "[config] 'stat': need 1 <= n_min_bottom <= n_max_top"),
+    ("stat", {"n_min_bottom": 0},
+     "[config] 'stat': need 1 <= n_min_bottom <= n_max_top"),
+    ("stat", {"target": 0}, "[config] 'stat': target must be None or >= 1"),
 ])
 def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
                                       value, message):

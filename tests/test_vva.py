@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from bessplan.netmodel import load_network
-from bessplan.vva import (FlowSolution, PowerFlowError, _hour_block,
-                          detect_violations, node_stats, power_flow, run_vva)
+from bessplan.vva import (PowerFlowError, _hour_block, node_stats,
+                          power_flow, run_vva, violation_records)
 from bessplan.conic import ConicProgram, solve_relaxation
 from helpers_power import (base_profiles, feeder2, feeder4, feeder6,
                            load_bundled, profiles_from_rows,
@@ -223,18 +223,15 @@ class TestLooseConeWarning:
 
 
 class TestViolations:
-    def _sol_with_voltages(self, volts):
+    def _records(self, volts):
+        """Records of one hour whose buses 1..n have these voltages."""
         volts = np.asarray(volts, dtype=float)[:, None]
-        n = volts.shape[0]
-        times = (np.datetime64("2024-06-01T00", "h"),)
-        return FlowSolution(tuple(range(1, n + 1)), (0,), times,
-                            volts ** 2, np.zeros((0, 1)),
-                            np.zeros((0, 1)), np.zeros((0, 1)),
-                            np.zeros(1), np.zeros(1))
+        return violation_records(
+            tuple(range(1, volts.shape[0] + 1)), (0,),
+            (np.datetime64("2024-06-01T00", "h"),), volts ** 2, 0.95, 1.05)
 
     def test_severity_arithmetic(self):
-        sol = self._sol_with_voltages([1.0, 0.93, 1.07, 0.87])
-        recs = detect_violations(sol, 0.95, 1.05)
+        recs = self._records([1.0, 0.93, 1.07, 0.87])
         by_bus = {r.bus: r for r in recs}
         assert set(by_bus) == {2, 3, 4}
         assert abs(by_bus[2].severity - 0.02) <= 1e-12
@@ -245,12 +242,10 @@ class TestViolations:
         assert all(r.severity > 0 for r in recs)
 
     def test_in_band_voltage_makes_no_record(self):
-        sol = self._sol_with_voltages([1.0, 1.0])
-        assert detect_violations(sol, 0.95, 1.05) == []
+        assert self._records([1.0, 1.0]) == []
 
     def test_node_stats_ratios(self):
-        sol = self._sol_with_voltages([1.0, 0.93, 1.07])
-        recs = detect_violations(sol, 0.95, 1.05)
+        recs = self._records([1.0, 0.93, 1.07])
         stats = {s.bus: s for s in node_stats(recs, 1, (1, 2, 3))}
         assert stats[1].f_viol == 0.0
         assert stats[2].p_uv == 1.0 and stats[2].p_ov == 0.0

@@ -10,8 +10,10 @@ second-order cones of sizes q = [q_0, q_1, ...].
 The method is the homogeneous self-dual embedding with Nesterov-Todd
 scaling and a Mehrotra predictor-corrector step (the standard conelp
 algorithm). Only 'l' and 'q' cones are supported; that is all the
-planning models need. Fully deterministic: plain LU factorizations,
-no randomization, no threading.
+planning models need. Fully deterministic: LU factorizations with
+partial pivoting, banded along a fixed reverse Cuthill-McKee order for
+small systems and sparse for large ones, no randomization, no
+threading.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 STEP = 0.99
 EXPON = 3
@@ -42,7 +45,7 @@ _DENSE_LIMIT = 700
 # shift back out against the unshifted matrix.
 _KKT_REG = 1e-8
 
-_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"),
+_gbtrf, _gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"),
                                               dtype=np.float64)
 
 
@@ -269,7 +272,7 @@ def _cone_columns(Gr, m):
     Gr holds the rows of one run of size-m cones. Returns (Gk, cols):
     Gk[c] is cone c's (m, w) row block over columns cols[c], w being the
     most columns any cone of the run touches. A cone that touches fewer
-    pads with column 0 and zero entries.
+    pads with column -1 and zero entries.
     """
     Gr = Gr.tocoo()
     Gr.sum_duplicates()
@@ -282,7 +285,7 @@ def _cone_columns(Gr, m):
     counts = np.bincount(kc, minlength=k)
     w = int(counts.max()) if k else 0
     slot = np.arange(len(keys)) - (np.cumsum(counts) - counts)[kc]
-    cols = np.zeros((k, w), dtype=np.intp)
+    cols = np.full((k, w), -1, dtype=np.intp)
     cols[kc, slot] = keys % n
     Gk = np.zeros((k, m, w))
     Gk[cone, Gr.row % m, slot[at]] = Gr.data
@@ -290,56 +293,76 @@ def _cone_columns(Gr, m):
 
 
 def _kkt_dense(G, A, cone, GT):
-    """Factor-and-solve closure for [H A'; A 0], H = G'(W'W)^{-1}G, dense.
+    """Factor-and-solve closure for [H A'; A 0], H = G'(W'W)^{-1}G, as a
+    band LU along a reverse Cuthill-McKee order.
 
     GT is G' in CSR form; conelp builds it once per call and shares it.
 
-    (W'W)^{-1} is block diagonal, so H is the orthant's G_l' D G_l plus
-    one small block G_k' B_k G_k per cone over the columns its rows
-    touch (4 for a branch cone). The blocks' columns and the positions
-    they sum into are found once per call; each factorization scatters
-    the blocks into a copy of a KKT template that holds A, and LU-factors
-    that copy in place. The template's transpose is Fortran-ordered, so
-    getrf factors K' without a copy and solves use K = (K')'.
+    (W'W)^{-1} is block diagonal, so H is one small block G_k' B_k G_k
+    per cone over the columns its rows touch (4 for a branch cone), each
+    orthant row being a cone of size 1. Once per call, the blocks'
+    column pairs and A's entries give the KKT pattern. Its reverse
+    Cuthill-McKee order puts every entry within k of the diagonal (22
+    for an IEEE-69 screening hour, where N = 482), and each entry gets
+    its slot in an N x (3k+1) band template that holds A. Each
+    factorization scatters the blocks into a copy of the template and
+    factors it with gbtrf, Gaussian elimination with partial pivoting
+    whose fill stays in the template's first k rows. The template's
+    transpose is the Fortran-ordered band gbtrf takes, so it factors in
+    place.
     """
     G = G.tocsr()
+    A = A.tocoo()
+    A.sum_duplicates()
     n, p = G.shape[1], A.shape[0]
     N = n + p
-    l = cone.l
-    Gl = G[:l].toarray()
-    K0 = np.zeros((N, N))
-    K0[n:, :n] = A.toarray()
-    K0[:n, n:] = K0[n:, :n].T
-    Gks = []
-    pos = [np.zeros(0, dtype=np.intp)]
-    for a, b, m in cone.runs:
-        Gk, cols = _cone_columns(G[a:b], m)
+    runs = ([(0, cone.l, 1)] if cone.l else []) + cone.runs
+    Gks, rows, cols = [], [], []
+    for a, b, m in runs:
+        Gk, ck = _cone_columns(G[a:b], m)
+        w = ck.shape[1]
         Gks.append(Gk)
-        pos.append((cols[:, :, None] * N + cols[:, None, :]).ravel())
+        rows.append(np.repeat(ck, w, axis=1).ravel())
+        cols.append(np.tile(ck, (1, w)).ravel())
+    rows = np.concatenate(rows + [A.row + n, A.col])
+    cols = np.concatenate(cols + [A.col, A.row + n])
+    real = (rows >= 0) & (cols >= 0)
+    pattern = sp.csr_matrix((np.ones(real.sum()), (rows[real], cols[real])),
+                            shape=(N, N))
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    at = np.empty(N, dtype=np.intp)
+    at[perm] = np.arange(N)
+    i, j = at[rows], at[cols]
+    k = int(np.abs(i - j)[real].max(initial=0))
+    # entry (i, j) of the band's column j, row 2k + i - j; the padding's
+    # zero entries land in one slot past the band
+    flat = np.where(real, j * (3 * k + 1) + 2 * k + i - j, N * (3 * k + 1))
+    nh = len(flat) - 2 * A.nnz
+    template = np.zeros(N * (3 * k + 1) + 1)
+    template[flat[nh:]] = np.tile(A.data, 2)
     # every cone block entry's slot among the distinct H positions
-    pos, slot = np.unique(np.concatenate(pos), return_inverse=True)
+    pos, slot = np.unique(flat[:nh], return_inverse=True)
 
     def factor(W):
         dl2, blocks = cone.binv_parts(W)
-        K = K0.copy()
-        if l:
-            K[:n, :n] = Gl.T @ (dl2[:, None] * Gl)
-        if len(pos):
-            hk = np.concatenate([(Gk.transpose(0, 2, 1) @ (B @ Gk)).ravel()
-                                 for Gk, B in zip(Gks, blocks)])
-            K.reshape(-1)[pos] += np.bincount(slot, weights=hk,
-                                              minlength=len(pos))
-        lu, piv, info = _getrf(K.T, overwrite_a=True)
+        band = template.copy()
+        hk = np.concatenate(
+            [(Gk.transpose(0, 2, 1) @ (B @ Gk)).ravel() for Gk, B in
+             zip(Gks, ([dl2[:, None, None]] if cone.l else []) + blocks)])
+        band[pos] += np.bincount(slot, weights=hk, minlength=len(pos))
+        lu, piv, info = _gbtrf(band[:-1].reshape(N, 3 * k + 1).T, k, k,
+                               overwrite_ab=True)
         # NaN or inf in K reaches U's diagonal (NaN fails the test too)
         # or else the solves, which conelp's stall guard rejects
-        diag = np.abs(np.diag(lu))
+        diag = np.abs(lu[2 * k])
         if info != 0 or not diag.min() > diag.max() * 1e-300:
             raise ArithmeticError("singular KKT matrix")
 
         def solve(bx, by, bz):
             rhs = np.concatenate([bx + GT @ cone.binv_apply(dl2, blocks, bz),
                                   by])
-            sol, _ = _getrs(lu, piv, rhs, trans=1, overwrite_b=True)
+            sol, _ = _gbtrs(lu, k, k, rhs[perm], piv, overwrite_b=True)
+            sol = sol[at]
             x, y = sol[:n], sol[n:]
             zhat = cone.scale_w(W, G @ x - bz, inverse=True)
             return x, y, zhat

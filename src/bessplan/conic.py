@@ -39,8 +39,9 @@ class SolverConfig:
     max_iters: int = 100  # interior-point iterations per solve
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.cone_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.feas_tol < math.inf and
+                0.0 < self.cone_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not 0.0 < self.mip_gap < 1.0:
             raise ValueError("mip_gap must be in (0, 1)")
         for name in ("node_limit", "max_iters"):

@@ -443,10 +443,15 @@ class LoadProfileSet:
                                          q_kvar.tolist())]))
 
 
+def check_growth(growth):
+    """Raise unless growth is a positive, finite demand factor."""
+    if not 0.0 < growth < math.inf:
+        raise ValueError(f"growth must be positive and finite, got {growth}")
+
+
 def scale_profiles(profiles: LoadProfileSet, growth: float) -> LoadProfileSet:
     """Uniform demand growth: p and q multiplied by a positive factor."""
-    if not growth > 0:
-        raise ValueError(f"growth must be positive, got {growth}")
+    check_growth(growth)
     return LoadProfileSet(profiles.horizon, profiles.bus_ids,
                           _frozen(profiles.p_kw * growth),
                           _frozen(profiles.q_kvar * growth))

@@ -32,6 +32,7 @@ conversion factor so both live in one program.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,12 +89,12 @@ class BessSpec:
             raise ValueError("soc_initial must lie in the SOC band")
         if not (0.0 < self.eta_ch <= 1.0 and 0.0 < self.eta_dis <= 1.0):
             raise ValueError("efficiencies must be in (0, 1]")
-        if self.e_min_kwh < 0 or self.e_min_kwh > self.e_max_kwh:
-            raise ValueError("need 0 <= e_min_kwh <= e_max_kwh")
+        if not 0.0 <= self.e_min_kwh <= self.e_max_kwh < math.inf:
+            raise ValueError("need 0 <= e_min_kwh <= e_max_kwh < inf")
         for rate in (self.c_rate_ch, self.c_rate_dis, self.kq_inj,
                      self.kq_abs, self.c_cap_per_kwh):
-            if rate < 0:
-                raise ValueError("rates and costs must be >= 0")
+            if not 0.0 <= rate < math.inf:
+                raise ValueError("rates and costs must be finite and >= 0")
 
 
 @dataclass

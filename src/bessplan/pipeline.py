@@ -33,12 +33,14 @@ import numpy as np
 
 from ._parallel import pmap
 from .conic import SolverConfig
-from .netmodel import (LoadProfileSet, NetworkError, load_network)
+from .netmodel import (LoadProfileSet, NetworkError, check_growth,
+                       load_network)
 from .oep import (BessPlan, BessSpec, PlanError, TouTariff, build_toep,
                   certify_day, dispatch_day, residuals)
 from .oep import plan as solve_plan
 from .oep import savings_report, tou_dispatch
-from .scenarios import (ScenarioError, detect_events, extract_ev_load,
+from .scenarios import (ScenarioError, check_scenario_count, check_share,
+                        detect_events, extract_ev_load,
                         fit_event_distributions, generate_annual,
                         overlay_penetration, read_distributions,
                         synth_households, write_distributions,
@@ -90,6 +92,12 @@ class ScenarioParams:
     growth: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        check_scenario_count(self.n)
+        check_share("daily_prob", self.daily_prob)
+        check_share("penetration", self.penetration)
+        check_growth(self.growth)
+
 
 @dataclass(frozen=True)
 class StatParams:
@@ -108,6 +116,10 @@ class StatParams:
         check_quotas(self.n_max_top, self.n_min_bottom)
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+        if not 0.0 <= self.alpha_eol < math.inf:
+            raise ValueError("alpha_eol must be finite and >= 0")
+        if self.threshold is not None and not 0.0 <= self.threshold:
+            raise ValueError("threshold must be None or >= 0")
         if self.target is not None and self.target < 1:
             raise ValueError("target must be None or >= 1")
 
@@ -127,7 +139,7 @@ class PvmConfig:
     distributions: str | None = None    # optional fitted-KDE snapshot
     economics_scope: str = "window"     # "window" | "year"
     backtrack_cap: int = BACKTRACK_CAP
-    threads: int = 1
+    threads: int = 1  # pmap threads for validation and tariff dispatch
 
     def __post_init__(self):
         for label, path in (("network", self.network),
@@ -401,8 +413,7 @@ def run_pvm(cfg: PvmConfig, command: str) -> PvmReport:
     profiles, _, _ = _stage("scenarios", _overlaid_profiles, cfg, net, base)
     tariff = _stage("input", read_tariff, cfg.tariff, profiles.hour_of_day)
 
-    sol = _stage("vva", run_vva, net, profiles, cfg=cfg.solver,
-                 threads=cfg.threads)
+    sol = _stage("vva", run_vva, net, profiles, cfg=cfg.solver)
     records = tuple(_stage("vva", violation_records, net.ids, sol.hours,
                            profiles.horizon[list(sol.hours)], sol.v_sq,
                            net.v_lower, net.v_upper))
@@ -426,7 +437,7 @@ def run_pvm(cfg: PvmConfig, command: str) -> PvmReport:
     p_kw, q_kvar = profiles.aligned(net)
     peak = _stage("stat", peak_severity_hour, records)
     sens = _stage("stat", sensitivities, net, p_kw[peak], q_kvar[peak],
-                  vbuses, cfg=cfg.solver, threads=cfg.threads, hour=peak,
+                  vbuses, cfg=cfg.solver, hour=peak,
                   base=sol.voltage()[:, sol.hours.index(peak)])
     feats = _stage("stat", node_features, net, records, len(sol.hours), sens)
     _stage("stat", combined_metric, feats, st.alpha_eol)

@@ -47,6 +47,18 @@ class ScenarioError(ValueError):
     """Raised for invalid scenario inputs or a failed sampling run."""
 
 
+def check_share(name, value):
+    """Raise unless value, a probability or a share, lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ScenarioError(f"{name} must lie in [0, 1], got {value}")
+
+
+def check_scenario_count(n_scenarios):
+    """Raise unless at least one scenario is asked for."""
+    if not 1 <= n_scenarios:
+        raise ScenarioError(f"need at least one scenario, got {n_scenarios}")
+
+
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -486,10 +498,8 @@ def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365):
     charging days with their positivity redraws, then their start hours.
     For days == 1 this is the same stream as a day-by-day draw.
     """
-    if not 0.0 <= daily_prob <= 1.0:
-        raise ScenarioError(f"daily_prob must lie in [0, 1], got {daily_prob}")
-    if n_scenarios < 1:
-        raise ScenarioError(f"need at least one scenario, got {n_scenarios}")
+    check_share("daily_prob", daily_prob)
+    check_scenario_count(n_scenarios)
     if days < 1:
         raise ScenarioError(f"need at least one day, got {days}")
 
@@ -515,8 +525,7 @@ def overlay_penetration(net: Network, profiles: LoadProfileSet, scenarios,
     untouched: chargers run near unity power factor. Scenario rows are
     drawn without replacement while enough are available.
     """
-    if not 0.0 <= penetration <= 1.0:
-        raise ScenarioError(f"penetration must lie in [0, 1], got {penetration}")
+    check_share("penetration", penetration)
     scaled = scale_profiles(profiles, growth)
     H = scaled.n_hours
     first = int(scaled.hour_of_day[0])

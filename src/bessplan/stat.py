@@ -206,7 +206,7 @@ def _slack_at(net, hour):
 
 
 def sensitivities(net: Network, p_kw, q_kvar, buses, base, cfg=None,
-                  threads: int = 1, hour: int = 0) -> dict:
+                  hour: int = 0) -> dict:
     """Mean |voltage shift| per bus for a PROBE_PU active injection.
 
     p_kw/q_kvar are one snapshot hour in network bus order, and hour is
@@ -227,8 +227,7 @@ def sensitivities(net: Network, p_kw, q_kvar, buses, base, cfg=None,
     probe_kw = PROBE_PU * 1000.0 * net.s_base_mva
     for k, b in enumerate(probed):
         p[k, net.idx[b]] -= probe_kw
-    v = run_vva(net, _snapshot_profiles(net, p, q), cfg=cfg,
-                threads=threads).voltage()
+    v = run_vva(net, _snapshot_profiles(net, p, q), cfg=cfg).voltage()
     shift = {b: float(np.mean(np.abs(v[:, k] - base)))
              for k, b in enumerate(probed)}
     return {b: shift.get(b, 0.0) for b in buses}

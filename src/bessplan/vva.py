@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import pmap
 from .conic import ConicProgram, SolverConfig, solve_relaxation
 from .netmodel import LoadProfileSet, Network
 
@@ -174,7 +173,7 @@ def power_flow(net: Network, p_kw, q_kvar, v_slack):
 
 
 def run_vva(net: Network, profiles: LoadProfileSet,
-            cfg: SolverConfig | None = None, threads: int = 1) -> FlowSolution:
+            cfg: SolverConfig | None = None) -> FlowSolution:
     """Solve each hour of the profiles independently and concatenate the
     results.
 
@@ -205,7 +204,7 @@ def run_vva(net: Network, profiles: LoadProfileSet,
         return [res.x[name] for name in (*v, *L, *P, *Q, ps)]
 
     # one column per hour: v, l, P and Q, then the slack injection
-    cols = np.column_stack(pmap(solve_one, hours, threads))
+    cols = np.column_stack([solve_one(t) for t in hours])
     v_sq, i_sq, p_flow, q_flow = np.split(cols[:-1], np.cumsum([n, m, m]))
     p_slack = cols[-1]
     losses = net.r @ i_sq

@@ -3,8 +3,11 @@
 Every vectorized cone operation is checked against a per-cone loop over
 the textbook formulas, on a layout that interleaves cone sizes (so runs
 of equal sizes alternate). An orthant entry is the size-1 case of the
-same formulas. The dense KKT solve is checked against an explicitly
-formed [H A'; A 0] and against the sparse solve of the same system.
+same formulas. The dense KKT solve, a band LU along a reverse
+Cuthill-McKee order, is checked against an explicitly formed
+[H A'; A 0]: on random programs, where it also matches the sparse
+solve, on a tree whose cones all share one column (an arrowhead, so the
+band is wide) and on a program with orthant rows.
 On a scaling whose (W'W)^{-1} is about 1e-6 the sparse solve's shifted
 factor misses its refinement tolerance; the solve then factors K once
 with partial pivoting, matches the explicit solve, and gives the same
@@ -137,6 +140,13 @@ def test_nesterov_todd_identity(cone):
                                rtol=1e-11)
 
 
+def full_rank(G, A):
+    """G and A as CSR matrices, checked to have rank([G; A]) = n."""
+    G, A = sp.csr_matrix(G), sp.csr_matrix(A)
+    assert np.linalg.matrix_rank(sp.vstack([G, A]).toarray()) == G.shape[1]
+    return G, A
+
+
 def kkt_system(cone, rng, n=9, p=3):
     """Sparse G whose cones touch 1-4 columns each, dense A, full rank."""
     G = np.zeros((cone.cdim, n))
@@ -145,20 +155,20 @@ def kkt_system(cone, rng, n=9, p=3):
         for r in range(a, b):
             G[r, rng.choice(cols, size=rng.integers(1, len(cols) + 1),
                             replace=False)] = rng.standard_normal()
-    A = rng.standard_normal((p, n))
-    assert np.linalg.matrix_rank(np.vstack([G, A])) == n
-    return sp.csr_matrix(G), sp.csr_matrix(A)
+    return full_rank(G, rng.standard_normal((p, n)))
 
 
-def test_dense_kkt_solves_explicit_system(cone):
-    rng = np.random.default_rng(4)
-    G, A = kkt_system(cone, rng)
+def check_dense_solves(cone, G, A, rng):
+    """Check the dense solve against the explicit [H A'; A 0] system at
+    the identity and at a computed scaling; returns one (W, right-hand
+    side, solution) per scaling."""
     n, p = G.shape[1], A.shape[0]
     Gd, Ad = G.toarray(), A.toarray()
     bx, by, bz = (rng.standard_normal(k) for k in (n, p, cone.cdim))
     scalings = [cone.identity_w(),
                 cone.compute_scaling(interior(rng, cone),
                                      interior(rng, cone))[0]]
+    out = []
     for W in scalings:
         Wm = w_matrix(cone, W)
         B = np.linalg.inv(Wm.T @ Wm)
@@ -169,10 +179,54 @@ def test_dense_kkt_solves_explicit_system(cone):
         assert np.linalg.norm(K @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
         np.testing.assert_allclose(Wm @ zhat, Gd @ x - bz, rtol=1e-10,
                                    atol=1e-10 * np.linalg.norm(bz))
-        xs, ys, zs = _kkt_sparse(G, A, cone)(W)(bx, by, bz)
-        both = np.concatenate([sol, zhat])
+        out.append((W, (bx, by, bz), np.concatenate([sol, zhat])))
+    return out
+
+
+def test_dense_kkt_solves_explicit_system(cone):
+    rng = np.random.default_rng(4)
+    G, A = kkt_system(cone, rng)
+    for W, rhs, both in check_dense_solves(cone, G, A, rng):
+        xs, ys, zs = _kkt_sparse(G, A, cone)(W)(*rhs)
         assert np.linalg.norm(both - np.concatenate([xs, ys, zs])) \
             <= 1e-8 * np.linalg.norm(both)
+
+
+def test_dense_kkt_solves_an_arrowhead_tree():
+    # a feeder-like tree, one size-3 cone per branch over its own two
+    # columns and its parent's first, plus column 0 in every cone, as
+    # sizing's Ecap is: the reordered band is as wide as the arrowhead
+    rng = np.random.default_rng(7)
+    m = 24
+    parent = [None] + [int(rng.integers(e)) for e in range(1, m)]
+    cone = Cones(0, [3] * m)
+    n = 1 + 2 * m
+    G = np.zeros((cone.cdim, n))
+    A = np.zeros((m, n))
+    for e, up in enumerate(parent):
+        cols = [0, 1 + 2 * e, 2 + 2 * e] + ([1 + 2 * up] if e else [])
+        G[3 * e:3 * e + 3, cols] = rng.standard_normal((3, len(cols)))
+        A[e, cols[1:]] = rng.standard_normal(len(cols) - 1)
+    check_dense_solves(cone, *full_rank(G, A), rng)
+
+
+def test_dense_kkt_solves_a_program_with_orthant_rows():
+    # orthant rows over one, a few or every column (a budget row), each
+    # a size-1 cone of H, beside two cone runs
+    rng = np.random.default_rng(8)
+    cone = Cones(7, [3, 3, 4])
+    n, p = 12, 3
+    G = np.zeros((cone.cdim, n))
+    for r, width in enumerate([1, 1, 2, 3, 1, 2, n]):
+        G[r, rng.choice(n, size=width, replace=False)] = \
+            rng.standard_normal(width)
+    for a, b in spans(cone)[cone.l:]:
+        G[a:b, rng.choice(n, size=3, replace=False)] = \
+            rng.standard_normal((b - a, 3))
+    A = np.zeros((p, n))
+    for r in range(p):
+        A[r, rng.choice(n, size=2, replace=False)] = rng.standard_normal(2)
+    check_dense_solves(cone, *full_rank(G, A), rng)
 
 
 def test_dense_kkt_rejects_an_empty_equality_row(cone):

@@ -287,6 +287,30 @@ def test_economics_cells_are_plain_floats(line_runs):
     ("stat", {"n_min_bottom": 0},
      "[config] 'stat': need 1 <= n_min_bottom <= n_max_top"),
     ("stat", {"target": 0}, "[config] 'stat': target must be None or >= 1"),
+    ("stat", {"alpha_eol": math.nan},
+     "[config] 'stat': alpha_eol must be finite and >= 0"),
+    ("stat", {"threshold": math.nan},
+     "[config] 'stat': threshold must be None or >= 0"),
+    ("solver", {"feas_tol": math.nan},
+     "[config] 'solver': tolerances must be positive and finite"),
+    ("solver", {"cone_tol": math.nan},
+     "[config] 'solver': tolerances must be positive and finite"),
+    ("scenarios", {"n": 0},
+     "[config] 'scenarios': need at least one scenario, got 0"),
+    ("scenarios", {"penetration": 1.5},
+     "[config] 'scenarios': penetration must lie in [0, 1], got 1.5"),
+    ("scenarios", {"penetration": math.nan},
+     "[config] 'scenarios': penetration must lie in [0, 1], got nan"),
+    ("scenarios", {"daily_prob": -0.1},
+     "[config] 'scenarios': daily_prob must lie in [0, 1], got -0.1"),
+    ("scenarios", {"daily_prob": math.nan},
+     "[config] 'scenarios': daily_prob must lie in [0, 1], got nan"),
+    ("scenarios", {"growth": math.nan},
+     "[config] 'scenarios': growth must be positive and finite, got nan"),
+    ("bess", {"e_max_kwh": math.nan},
+     "[config] 'bess': need 0 <= e_min_kwh <= e_max_kwh < inf"),
+    ("bess", {"e_max_kwh": math.inf},
+     "[config] 'bess': need 0 <= e_min_kwh <= e_max_kwh < inf"),
 ])
 def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
                                       value, message):

@@ -316,15 +316,6 @@ class TestSensitivity:
         sens = sensitivities(net, p, q, [2, 3, 4], exact_volts(net, p, q))
         assert sens[4] > sens[3] > sens[2] > 0.0
 
-    def test_threaded_matches_serial(self):
-        net = feeder4()
-        p, q = net.p_base_kw, net.q_base_kvar
-        base = exact_volts(net, p, q)
-        serial = sensitivities(net, p, q, [4, 1, 2, 3], base)
-        threaded = sensitivities(net, p, q, [4, 1, 2, 3], base, threads=2)
-        assert list(threaded) == [4, 1, 2, 3]
-        assert threaded == serial
-
     def test_peak_severity_hour(self):
         records = [rec(0, 3, 0.02), rec(0, 3, 0.01), rec(0, 5, 0.025)]
         assert peak_severity_hour(records) == 3

@@ -260,13 +260,3 @@ class TestViolations:
             [ViolationRecord(5, 100, t0 + 100, 0.948, 0.002, "under")]
         stats = {s.bus: s for s in node_stats(recs, 8760, (5,))}
         assert abs(stats[5].p_uv - 88 / 8760) <= 1e-12
-
-
-class TestThreads:
-    def test_threaded_run_matches_serial(self):
-        net = feeder4()
-        profiles = constant_profiles(net, 6)
-        serial = run_vva(net, profiles)
-        threaded = run_vva(net, profiles, threads=4)
-        assert np.array_equal(serial.v_sq, threaded.v_sq)
-        assert np.array_equal(serial.losses, threaded.losses)

@@ -7,6 +7,10 @@ pinned to one BLAS thread: `run` on `plan` for requests 1000-1003, `stat`
 on `screen` and `scenarios` on `scenarios` for requests 1000-1001. Prints
 one line per run and every report file that differs, or that only one
 tree wrote, and exits 1 if any does or an exit code differs, else 0.
+For each file both trees wrote, it says how far the reports moved: the
+largest absolute difference over numeric cells (CSV cells, or the
+leaves of a JSON report), and how many rows or non-numeric cells
+differ.
 Inputs and reports go to a temporary directory that is removed
 afterwards.
 
@@ -16,7 +20,10 @@ afterwards.
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import json
+import math
 import os
 import subprocess
 import sys
@@ -56,6 +63,58 @@ def differing(a, b):
                                       shallow=False)))
 
 
+def rows(path):
+    """A report's cells: CSV rows, or one [key path, value] row per leaf
+    of a JSON document."""
+    with open(path, newline="") as fh:
+        if not path.endswith(".json"):
+            return list(csv.reader(fh))
+        out = []
+
+        def walk(doc, key):
+            if isinstance(doc, (dict, list)):
+                items = doc.items() if isinstance(doc, dict) \
+                    else enumerate(doc)
+                for k, v in items:
+                    walk(v, f"{key}/{k}")
+            else:
+                out.append([key, json.dumps(doc)])
+
+        walk(json.load(fh), "")
+        return out
+
+
+def number(cell):
+    """The cell as a float, or None if it is not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def moved(a, b):
+    """How far report b is from report a, as one line of text."""
+    ra, rb = rows(a), rows(b)
+    worst, labels = 0.0, 0
+    for x, y in zip(ra, rb):
+        labels += abs(len(x) - len(y))
+        for u, v in zip(x, y):
+            if u == v:
+                continue
+            fu, fv = number(u), number(v)
+            if fu is None or fv is None:
+                labels += 1
+            else:
+                d = abs(fu - fv)
+                worst = max(worst, math.inf if math.isnan(d) else d)
+    text = f"max |diff| {worst:.3g}"
+    if len(ra) != len(rb):
+        text += f", {len(ra)}/{len(rb)} rows"
+    if labels:
+        text += f", {labels} non-numeric cells differ"
+    return text
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("other", help="checkout to compare against")
@@ -87,7 +146,11 @@ def main(argv=None):
                       f"{codes[0]}/{codes[1]}, {n} files, "
                       f"{'identical' if same else 'DIFFERENT'}")
                 for name in diff:
-                    print(f"  differs: {name}")
+                    a, b = (os.path.join(out[t], name) for t in out)
+                    if os.path.isfile(a) and os.path.isfile(b):
+                        print(f"  differs: {name}: {moved(a, b)}")
+                    else:
+                        print(f"  differs: {name}: written by one tree only")
     print(f"# {bad} of {sum(len(r[3]) for r in RUNS)} runs differ")
     return 1 if bad else 0
 

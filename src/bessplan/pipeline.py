@@ -103,7 +103,7 @@ class ScenarioParams:
 class StatParams:
     weights: tuple = DEFAULT_WEIGHTS
     window_days: int = DEFAULT_WINDOW_DAYS
-    alpha_eol: float = 1.0
+    alpha_eol: float = 1.0           # weight of the normalized leaf term
     n_max_top: int = 5
     n_min_bottom: int = 1
     k_max: int = 10

@@ -148,12 +148,26 @@ class EventDistributions:
             raise ScenarioError("start-hour KDE must be one-dimensional")
 
 
+def _event_array(events):
+    """events as a read-only (k, 3) float array; empty reads as (0, 3)."""
+    out = _own_frozen(events)
+    if not out.size:
+        return _frozen(np.empty((0, 3)))
+    if out.ndim != 2 or out.shape[1] != 3:
+        raise ScenarioError(
+            f"scenario events must be (k, 3) rows, got shape {out.shape}")
+    return out
+
+
 @dataclass(frozen=True)
 class ScenarioSet:
     """Annual per-charger hourly kW series plus their generating events.
 
     series : (n, H) kW, one row per scenario
-    events : per-scenario tuples of ChargingEvent
+    events : per-scenario read-only (k, 3) float arrays, one row per
+             session: start hour (offset into the series), duration h
+             and energy kWh, in start order; any empty sequence reads
+             as no session
     """
 
     series: np.ndarray
@@ -171,7 +185,7 @@ class ScenarioSet:
             raise ScenarioError("event list length does not match scenario count")
         object.__setattr__(self, "series", s)
         object.__setattr__(self, "events",
-                           tuple(tuple(ev) for ev in self.events))
+                           tuple(_event_array(ev) for ev in self.events))
 
     @property
     def n(self):
@@ -452,19 +466,21 @@ def _draw_sessions(dist, n, rng):
 # annual scenario synthesis
 
 
-def _one_scenario(dist, daily_prob, seed, k, days):
-    """Build scenario k on its own RNG stream derived from the master seed.
+def _one_scenario(dist, daily_prob, seed, k, row):
+    """Draw scenario k into row, a zeroed hourly series; return its events.
 
-    The stream gives the days' charging coin flips, then the charging
-    days' sessions (see _draw_sessions). Only the overlap fix-up and
-    the placement run day by day.
+    Scenario k runs on its own RNG stream derived from the master seed:
+    the days' charging coin flips, then the charging days' sessions (see
+    _draw_sessions). Only the overlap fix-up runs session by session.
+    The kept sessions do not overlap, so one scatter writes their full
+    hours and one more adds their fractional tails; as in _place, a
+    tail hour gets p_avg times a remainder above 1e-12 h.
     """
     rng = np.random.default_rng([seed, k])
-    H = 24 * days
-    series = np.zeros(H)
-    charging = np.flatnonzero(rng.random(days) < daily_prob)
+    H = len(row)
+    charging = np.flatnonzero(rng.random(H // 24) < daily_prob)
     durs, energies, h0 = _draw_sessions(dist, len(charging), rng)
-    events = []
+    events, p_avg = [], []
     busy_until = 0.0
     for t0, dur, energy in zip((charging * 24 + h0).tolist(),
                                durs.tolist(), energies.tolist()):
@@ -474,11 +490,24 @@ def _one_scenario(dist, daily_prob, seed, k, days):
             t0 = math.ceil(busy_until)
         if t0 >= H:
             continue
-        dur, realized = _place(series, t0, dur, energy / dur)
-        if realized > 0:
-            events.append(ChargingEvent(float(t0), dur, realized))
+        p = energy / dur
+        dur = min(dur, float(H - t0))
+        if p * dur > 0:
+            events.append((float(t0), dur, p * dur))
+            p_avg.append(p)
             busy_until = t0 + dur
-    return series, tuple(events)
+    events = np.array(events) if events else np.empty((0, 3))
+    p_avg = np.array(p_avg)
+    t0 = events[:, 0].astype(np.intp)
+    full = events[:, 1].astype(np.intp)
+    frac = events[:, 1] - full
+    row[np.repeat(t0 - np.cumsum(full) + full, full)
+        + np.arange(full.sum())] = np.repeat(p_avg, full)
+    tail = frac > 1e-12
+    # add, not assign: past hour 2**14, t0 + dur can round down to a
+    # session's tail hour, so the next session may start in that hour
+    np.add.at(row, t0[tail] + full[tail], p_avg[tail] * frac[tail])
+    return _frozen(events)
 
 
 def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365):
@@ -490,25 +519,29 @@ def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365):
     daily_prob; a charging day gets one sampled session placed at its
     start hour, spilling into the next day when it runs past midnight (a
     session that would start while the previous one runs is delayed
-    until it ends). Scenario k runs on its own RNG stream, seeded by
-    (seed, k), so it does not depend on the other scenarios drawn. The
-    work holds the interpreter lock, so the scenarios are drawn in turn.
-    Each stream draws, in order: one uniform per day
-    (the charging coin flips), the (duration, energy) pairs of all
-    charging days with their positivity redraws, then their start hours.
-    For days == 1 this is the same stream as a day-by-day draw.
+    until it ends, and a session is cut at the end of the horizon).
+    A session runs at constant power: its full hours carry the average
+    power, the hour after them the power times the fractional
+    remainder, so a series sums to its events' energies.
+    Scenario k runs on its own RNG stream, seeded by (seed, k), so it
+    does not depend on the other scenarios drawn. The work holds the
+    interpreter lock, so the scenarios are drawn in turn. Each stream
+    draws, in order: one uniform per day (the charging coin flips), the
+    (duration, energy) pairs of all charging days with their positivity
+    redraws, then their start hours. For days == 1 this is the same
+    stream as a day-by-day draw. Scenario k is written straight into
+    row k of the (n, 24 * days) series, and its events hold one (start
+    hour, duration h, energy kWh) row per kept session (see ScenarioSet).
     """
     check_share("daily_prob", daily_prob)
     check_scenario_count(n_scenarios)
     if days < 1:
         raise ScenarioError(f"need at least one day, got {days}")
 
-    built = [_one_scenario(dist, daily_prob, seed, k, days)
-             for k in range(n_scenarios)]
-
-    series = _frozen(np.vstack([s for s, _ in built]))
-    events = tuple(ev for _, ev in built)
-    return ScenarioSet(series, events, int(seed), float(daily_prob))
+    series = np.zeros((n_scenarios, 24 * days))
+    events = tuple(_one_scenario(dist, daily_prob, seed, k, series[k])
+                   for k in range(n_scenarios))
+    return ScenarioSet(_frozen(series), events, int(seed), float(daily_prob))
 
 
 def overlay_penetration(net: Network, profiles: LoadProfileSet, scenarios,
@@ -560,16 +593,18 @@ def write_scenarios(path, sset: ScenarioSet):
     """Persist a ScenarioSet: metadata header plus nonzero (day, hour, kw) rows.
 
     Rows are comma-separated with CRLF ends and repr floats, the bytes a
-    csv.writer would write.
+    csv.writer would write. The ",day,hour," labels are formatted once
+    per horizon hour and picked by each row's nonzero hours.
     """
+    labels = [f",{t // 24},{t % 24}," for t in range(sset.n_hours)]
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={sset.seed} daily_prob={sset.daily_prob!r} "
                  f"n={sset.n} hours={sset.n_hours}\n")
         fh.write("scenario,day,hour,kw\r\n")
         for k, row in enumerate(sset.series):
             t = np.flatnonzero(row)
-            fh.write("".join([f"{k},{d},{h},{kw!r}\r\n" for d, h, kw in zip(
-                (t // 24).tolist(), (t % 24).tolist(), row[t].tolist())]))
+            fh.write("".join([f"{k}{labels[i]}{kw!r}\r\n" for i, kw in zip(
+                t.tolist(), row[t].tolist())]))
 
 
 def write_distributions(path, dist: EventDistributions):

@@ -258,18 +258,21 @@ def combined_metric(features, alpha_eol=1.0) -> list:
 
     Components have incompatible native scales, so each is min-max
     normalized across the violating-bus set before the sum; a constant
-    component contributes 0 everywhere.
+    component contributes 0 everywhere. alpha_eol then weighs the
+    normalized leaf column: where leaves and non-leaves both violate, a
+    leaf scores alpha_eol above a non-leaf with equal s and f.
     """
     if not features:
         raise ValueError("no feature rows")
     for f in features:
         f.s_eol = alpha_eol * f.e_topo
-    cols = np.array([[f.s_mean_abs, f.f_viol, f.s_eol] for f in features],
+    cols = np.array([[f.s_mean_abs, f.f_viol, f.e_topo] for f in features],
                     dtype=float)
     lo = cols.min(axis=0)
     span = cols.max(axis=0) - lo
     safe = np.where(span > 0, span, 1.0)
     normed = np.where(span > 0, (cols - lo) / safe, 0.0)
+    normed[:, 2] *= alpha_eol
     for f, row in zip(features, normed):
         f.m_comb = float(row.sum())
     return features

@@ -8,6 +8,9 @@ audit of the threshold rules, and the KDE sampler against moment
 oracles computed from its own support points.
 """
 
+import csv
+import io
+import math
 import os
 
 import numpy as np
@@ -22,7 +25,8 @@ from bessplan.scenarios import (ChargingEvent, EventDistributions, Kde,
                                 extract_ev_load, fit_event_distributions,
                                 fit_kde, generate_annual,
                                 overlay_penetration, read_distributions,
-                                synth_households, write_distributions)
+                                synth_households, write_distributions,
+                                write_scenarios)
 from helpers_power import base_profiles, load_bundled
 
 
@@ -48,15 +52,51 @@ def fitted(panel):
     return fit_event_distributions([e for per in truth for e in per])
 
 
-def point_dist(duration, energy, start=20.5):
+def point_dist(duration, energy, start=20.5, bw=1e-9):
     """Degenerate distributions that always draw one fixed event.
 
     start should sit mid-bin: the sampler floors it to an hour, and
-    jitter around an exact integer can drop a bin.
+    jitter around an exact integer can drop a bin. A bw far below the
+    values' float spacing (1e-300) draws them exactly.
     """
-    joint = Kde(np.tile([duration, energy], (12, 1)), np.full(2, 1e-9))
-    hour = Kde(np.full((12, 1), start), np.array([1e-9]))
+    joint = Kde(np.tile([duration, energy], (12, 1)), np.full(2, bw))
+    hour = Kde(np.full((12, 1), start), np.array([bw]))
     return EventDistributions(joint, hour)
+
+
+def reference_annual(dist, n, daily_prob, seed, days):
+    """generate_annual's series and events, placed session by session.
+
+    Same streams and overlap fix-up; each kept session adds its power
+    to its full hours, then p_avg times the remainder to the next hour
+    when the remainder exceeds 1e-12 h.
+    """
+    H = 24 * days
+    series = np.zeros((n, H))
+    events = []
+    for k in range(n):
+        rng = np.random.default_rng([seed, k])
+        charging = np.flatnonzero(rng.random(days) < daily_prob)
+        durs, energies, h0 = _draw_sessions(dist, len(charging), rng)
+        rows = []
+        busy_until = 0.0
+        for t0, dur, energy in zip((charging * 24 + h0).tolist(),
+                                   durs.tolist(), energies.tolist()):
+            if t0 < busy_until:
+                t0 = math.ceil(busy_until)
+            if t0 >= H:
+                continue
+            p = energy / dur
+            dur = min(dur, float(H - t0))
+            full = int(dur)
+            series[k, t0:t0 + full] += p
+            if dur - full > 1e-12:
+                series[k, t0 + full] += p * (dur - full)
+            if p * dur > 0:
+                rows.append((float(t0), dur, p * dur))
+                busy_until = t0 + dur
+        events.append(np.array(rows).reshape(-1, 3))
+    return series, events
 
 
 class TestChargingEvent:
@@ -378,25 +418,26 @@ class TestGenerateAnnual:
         sset = generate_annual(fitted, 3, 0.0, seed=1)
         assert sset.series.shape == (3, 8760)
         assert sset.series.sum() == 0.0
-        assert all(len(ev) == 0 for ev in sset.events)
+        assert all(ev.shape == (0, 3) for ev in sset.events)
 
     def test_energy_conservation(self, fitted):
         sset = generate_annual(fitted, 5, 0.9, seed=7)
         for k in range(sset.n):
-            want = sum(e.energy_kwh for e in sset.events[k])
+            want = sset.events[k][:, 2].sum()
             assert abs(sset.series[k].sum() - want) < 1e-9
 
     def test_events_never_overlap(self, fitted):
         sset = generate_annual(fitted, 4, 1.0, seed=2)
         for evs in sset.events:
-            for prev, nxt in zip(evs, evs[1:]):
-                assert nxt.start >= prev.start + prev.duration_h - 1e-9
+            start, dur = evs[:, 0], evs[:, 1]
+            assert np.all(start[1:] >= start[:-1] + dur[:-1] - 1e-9)
 
     def test_seed_determinism(self, fitted):
         a = generate_annual(fitted, 6, 0.9, seed=4)
         b = generate_annual(fitted, 6, 0.9, seed=4)
         assert np.array_equal(a.series, b.series)
-        assert a.events == b.events
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(a.events, b.events, strict=True))
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_one_day_stream_matches_day_by_day_draw(self, fitted, mixed):
@@ -412,17 +453,17 @@ class TestGenerateAnnual:
         for k, events in enumerate(sset.events):
             rng = np.random.default_rng([9, k])
             if rng.random() >= 0.7:
-                assert events == ()
+                assert events.shape == (0, 3)
                 continue
             while True:
                 dur, energy = dist.joint.sample(1, rng)[0]
                 if dur > 0 and energy > 0:
                     break
             start = int(np.floor(dist.start.sample(1, rng)[0, 0])) % 24
-            (ev,) = events
-            assert ev.start == start
-            assert ev.duration_h == min(dur, 24.0 - start)
-            assert ev.p_avg_kw == pytest.approx(energy / dur, rel=1e-12)
+            ((ev_start, ev_dur, ev_energy),) = events
+            assert ev_start == start
+            assert ev_dur == min(dur, 24.0 - start)
+            assert ev_energy / ev_dur == pytest.approx(energy / dur, rel=1e-12)
 
     def test_mean_charging_days(self, fitted):
         # Bernoulli oracle: 365 days at 0.9 gives 328.5 expected days,
@@ -439,15 +480,40 @@ class TestGenerateAnnual:
         dist = point_dist(30.0, 150.0, start=23.5)
         sset = generate_annual(dist, 1, 1.0, seed=0, days=4)
         evs = sset.events[0]
-        assert evs[0].start == 23.0
-        assert evs[0].duration_h == pytest.approx(30.0, abs=1e-6)
+        assert evs[0, 0] == 23.0
+        assert evs[0, 1] == pytest.approx(30.0, abs=1e-6)
         # day 1 carries the spillover hours
         assert sset.series[0, 24:48].sum() > 0
-        want = sum(e.energy_kwh for e in evs)
+        want = evs[:, 2].sum()
         assert abs(sset.series[0].sum() - want) < 1e-9
         # truncation only at the horizon end
-        last = evs[-1]
-        assert last.start + last.duration_h <= 96 + 1e-9
+        start, dur = evs[-1, :2]
+        assert start + dur <= 96 + 1e-9
+
+    @pytest.mark.parametrize("case", [
+        "fitted", "spill30", "integral", "tiny_tail", "tail_below_spacing"])
+    def test_matches_session_by_session_placement(self, fitted, case):
+        # 24 h + 1.5e-12 from 20:00 over 700 days: past hour 2**14 a
+        # session's end rounds down to its tail hour, where the next
+        # session starts
+        dist, runs = {
+            "fitted": (fitted, [(s, d, 0.8) for s in (0, 3, 9)
+                                for d in (1, 4, 366)]),
+            "spill30": (point_dist(30.0, 150.0, start=23.5),
+                        [(s, d, 1.0) for s in (0, 5) for d in (1, 4, 366)]),
+            "integral": (point_dist(24.0, 120.0, bw=1e-300),
+                         [(s, d, 0.9) for s in (0, 5) for d in (1, 4, 366)]),
+            "tiny_tail": (point_dist(2.0 + 5e-13, 11.0, bw=1e-300),
+                          [(s, d, 0.9) for s in (0, 5) for d in (1, 4, 366)]),
+            "tail_below_spacing": (
+                point_dist(24.0 + 1.5e-12, 120.0, bw=1e-300), [(1, 700, 1.0)]),
+        }[case]
+        for seed, days, prob in runs:
+            sset = generate_annual(dist, 3, prob, seed=seed, days=days)
+            series, events = reference_annual(dist, 3, prob, seed, days)
+            assert np.array_equal(sset.series, series)
+            for got, want in zip(sset.events, events, strict=True):
+                assert np.array_equal(got, want)
 
     def test_validation(self, fitted):
         with pytest.raises(ScenarioError, match="daily_prob"):
@@ -543,8 +609,30 @@ class TestScenarioSetValidation:
         with pytest.raises(ScenarioError, match="event list"):
             ScenarioSet(np.ones((2, 4)), ((),), 0, 0.5)
 
+    def test_events_are_read_only_rows(self):
+        sset = ScenarioSet(np.ones((2, 4)), ((), [[0.0, 1.5, 3.0]]), 0, 0.5)
+        assert [ev.shape for ev in sset.events] == [(0, 3), (1, 3)]
+        assert not any(ev.flags.writeable for ev in sset.events)
+        with pytest.raises(ScenarioError, match=r"\(k, 3\)"):
+            ScenarioSet(np.ones((1, 4)), ([0.0, 1.5],), 0, 0.5)
+
 
 class TestFiles:
+    def test_scenarios_csv_bytes(self, fitted, tmp_path):
+        sset = generate_annual(fitted, 3, 0.8, seed=4, days=366)
+        path = os.path.join(tmp_path, "scenarios.csv")
+        write_scenarios(path, sset)
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\r\n")
+        out.writerow(["scenario", "day", "hour", "kw"])
+        for k, row in enumerate(sset.series):
+            for t, kw in enumerate(row.tolist()):
+                if kw:
+                    out.writerow([k, t // 24, t % 24, kw])
+        want = (f"# seed=4 daily_prob=0.8 n=3 hours=8784\n{buf.getvalue()}")
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode()
+
     def test_distribution_round_trip(self, fitted, tmp_path):
         path = os.path.join(tmp_path, "dist.json")
         write_distributions(path, fitted)

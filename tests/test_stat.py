@@ -360,12 +360,16 @@ class TestCombinedMetric:
         order = sorted(rows, key=lambda f: -f.m_comb)
         assert [f.bus for f in order] == [3, 2, 4]
 
-    def test_alpha_scales_before_normalization(self):
-        rows = combined_metric([NodeFeatures(2, 0.0, 0.0, 1),
-                                NodeFeatures(3, 0.0, 0.0, 0)],
-                               alpha_eol=2.5)
-        assert rows[0].s_eol == 2.5
-        assert rows[0].m_comb == pytest.approx(1.0)  # normalized share
+    def test_alpha_weighs_the_normalized_leaf_column(self):
+        # normalized columns: s = (0, 1, .5); f = (.25, 0, 1); eol = (1, 0, 1)
+        for alpha, want in ((1.0, [1.25, 1.0, 2.5]), (0.5, [0.75, 1.0, 2.0]),
+                            (5.0, [5.25, 1.0, 6.5]), (0.0, [0.25, 1.0, 1.5])):
+            rows = combined_metric([NodeFeatures(2, 0.1, 0.2, 1),
+                                    NodeFeatures(3, 0.3, 0.1, 0),
+                                    NodeFeatures(4, 0.2, 0.5, 1)],
+                                   alpha_eol=alpha)
+            assert [f.m_comb for f in rows] == pytest.approx(want, abs=1e-12)
+            assert [f.s_eol for f in rows] == [alpha, 0.0, alpha]
 
 
 def blob_features(seed=0, per_side=6):

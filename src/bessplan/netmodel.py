@@ -62,6 +62,8 @@ class Network:
             self.slack_voltage = float(slack_voltage)
         else:
             self.slack_voltage = _frozen(np.asarray(slack_voltage, dtype=float))
+        if not np.isfinite(self.slack_voltage).all():
+            raise NetworkError("slack_voltage_pu must be finite")
 
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
@@ -87,8 +89,9 @@ class Network:
                 raise NetworkError(f"unknown bus id in branch {a}-{b}")
             if a == b:
                 raise NetworkError(f"non-radial topology: self-loop at bus {a}")
-            if r_k < 0 or x_k < 0:
-                raise NetworkError(f"negative impedance on branch {a}-{b}")
+            if not (0 <= r_k < math.inf and 0 <= x_k < math.inf):
+                raise NetworkError(
+                    f"branch {a}-{b}: r and x must be finite and >= 0")
         if len({frozenset(ab) for ab in ends}) != m:
             raise NetworkError("non-radial topology: parallel branch pair")
 
@@ -140,6 +143,10 @@ class Network:
         self.down = tuple(_frozen(np.array(d, dtype=np.intp)) for d in down)
         self.p_base_kw = _frozen(np.array(p_base_kw, dtype=float))
         self.q_base_kvar = _frozen(np.array(q_base_kvar, dtype=float))
+        bad = ~(np.isfinite(self.p_base_kw) & np.isfinite(self.q_base_kvar))
+        if bad.any():
+            raise NetworkError(f"bus {ids[np.argmax(bad)]}: p_base_kw and "
+                               "q_base_kvar must be finite")
 
     @property
     def n_bus(self):
@@ -190,7 +197,8 @@ def load_network(document) -> Network:
     """Build a Network from a dict or a path (str or Path) to a JSON file.
 
     Rejects (with distinct messages): non-radial topology, disconnected
-    graphs, duplicate ids, and a missing slack bus.
+    graphs, duplicate ids, a missing slack bus, a number that is not
+    finite, a negative impedance and a current cap that is not positive.
     """
     doc = _as_dict(document)
     unknown = set(doc) - _TOP_KEYS
@@ -204,8 +212,8 @@ def load_network(document) -> Network:
         raise NetworkError("bases must give s_mva and v_kv")
     s_mva = float(bases["s_mva"])
     v_kv = float(bases["v_kv"])
-    if s_mva <= 0 or v_kv <= 0:
-        raise NetworkError("bases must be positive")
+    if not (0 < s_mva < math.inf and 0 < v_kv < math.inf):
+        raise NetworkError("bases s_mva and v_kv must be finite and positive")
     z_base = v_kv ** 2 / s_mva  # ohm
     i_base_a = s_mva * 1e6 / (math.sqrt(3) * v_kv * 1e3)
 
@@ -236,6 +244,9 @@ def load_network(document) -> Network:
         r.append(_impedance(rec, "r", z_base))
         x.append(_impedance(rec, "x", z_base))
         lim = rec.get("i_limit_a")
+        if lim is not None and not 0 < float(lim) < math.inf:
+            raise NetworkError(f"branch {rec.get('from')}-{rec.get('to')}: "
+                               "i_limit_a must be finite and positive")
         i_sq.append(math.nan if lim is None else (float(lim) / i_base_a) ** 2)
         ends.append((rec["from"], rec["to"]))
 
@@ -312,6 +323,8 @@ class LoadProfileSet:
             raise ValueError("duplicate bus ids in profile set")
         if p_kw.shape != (len(horizon), len(bus_ids)) or q_kvar.shape != p_kw.shape:
             raise ValueError("profile arrays must be (hours, buses)")
+        if not (np.isfinite(p_kw).all() and np.isfinite(q_kvar).all()):
+            raise ValueError("profile p_kw and q_kvar must be finite")
         self.horizon = _frozen(horizon)
         self.bus_ids = tuple(bus_ids)
         self.p_kw = p_kw

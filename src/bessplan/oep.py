@@ -23,7 +23,8 @@ was sized with, every day of it anchored at soc_initial times the
 capacity; certify_day passes a day of the sized window on that schedule
 and a dispatched day's power flow (_flow_day), without a solve.
 tou_dispatch re-optimizes a fixed plan against an hourly tariff, day by
-day; a daily tariff pattern prices each row by its clock hour.
+day; a daily tariff pattern prices each row by its clock hour. Every
+solve here runs on the calling thread, one day after another.
 
 Unit conventions: network flows in p.u. on the network bases; storage
 power in kW, energy in kWh; the balance rows carry the kW -> p.u.
@@ -37,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import pmap
 from .conic import (ConicProgram, SolverConfig, solve_misocp,
                     solve_relaxation)
 from .netmodel import LoadProfileSet, Network
@@ -147,8 +147,8 @@ class TouTariff:
         prices = np.asarray(self.prices, dtype=float)
         if prices.ndim != 1 or len(prices) == 0:
             raise ValueError("tariff needs a 1-d price schedule")
-        if np.any(prices < 0):
-            raise ValueError("tariff prices must be >= 0")
+        if not np.all((prices >= 0) & (prices < np.inf)):
+            raise ValueError("tariff prices must be finite and >= 0")
         object.__setattr__(self, "prices", prices)
 
     @classmethod
@@ -568,7 +568,7 @@ class TouResult:
 
 
 def tou_dispatch(net, profiles, plan_: BessPlan, tariff: TouTariff,
-                 hours=None, cfg=None, threads: int = 1) -> TouResult:
+                 hours=None, cfg=None) -> TouResult:
     """Cost-optimal operation of a fixed plan under an hourly tariff.
 
     The hours (default: the whole horizon) are cut into calendar days
@@ -581,13 +581,9 @@ def tou_dispatch(net, profiles, plan_: BessPlan, tariff: TouTariff,
     days = profiles.days(hours)
     if not tariff.covers(np.concatenate(days)):
         raise ValueError("tariff does not cover the requested hours")
-    spec = plan_.spec
-
-    def one(day):
-        return dispatch_day(net, profiles, day, plan_.capacity_kwh,
-                            spec, None, prices=tariff.prices, cfg=cfg)
-
-    parts = pmap(one, days, threads)
+    parts = [dispatch_day(net, profiles, day, plan_.capacity_kwh,
+                          plan_.spec, None, prices=tariff.prices, cfg=cfg)
+             for day in days]
     return TouResult(sum(p.cost for p in parts),
                      sum(p.losses_kwh for p in parts), tuple(parts))
 

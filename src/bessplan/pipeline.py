@@ -12,7 +12,8 @@ convex solve and is judged on the exact power flow of the schedule it
 returns; branch-and-bound runs in sizing alone, over the installation
 flags of a minimum unit size. A failed validation backtracks by adding
 the next-ranked window and re-planning, up to a round cap. Reports are
-plain CSV/JSON files, byte-stable under a fixed master seed.
+plain CSV/JSON files, byte-stable under a fixed master seed. The program
+runs on one thread: stages, days and solves run in order on the caller.
 
 The command line exits 0 for any status but fail, 1 for fail, 2 for a
 config or input error and 3 for a planning or solver one (_classify).
@@ -31,7 +32,6 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from ._parallel import pmap
 from .conic import SolverConfig
 from .netmodel import (LoadProfileSet, NetworkError, check_growth,
                        load_network)
@@ -126,7 +126,12 @@ class StatParams:
 
 @dataclass(frozen=True)
 class PvmConfig:
-    """Resolved run configuration; all referenced files must exist."""
+    """Resolved run configuration; all referenced files must exist.
+
+    threads is accepted and validated (an integer >= 1) but read by no
+    code: the program runs on one thread, and the key is kept only so
+    that existing configs load.
+    """
 
     network: str
     profiles: str
@@ -139,7 +144,7 @@ class PvmConfig:
     distributions: str | None = None    # optional fitted-KDE snapshot
     economics_scope: str = "window"     # "window" | "year"
     backtrack_cap: int = BACKTRACK_CAP
-    threads: int = 1  # pmap threads for validation and tariff dispatch
+    threads: int = 1  # unread: kept so that existing configs load
 
     def __post_init__(self):
         for label, path in (("network", self.network),
@@ -292,7 +297,7 @@ class ValidationVerdict:
         return not self.residuals
 
 
-def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
+def validate_plan(net, profiles, plan_: BessPlan, cfg=None,
                   round_index: int = 0) -> ValidationVerdict:
     """Check the frozen plan calendar day by calendar day
     (LoadProfileSet.days) over the whole horizon.
@@ -312,14 +317,11 @@ def validate_plan(net, profiles, plan_: BessPlan, cfg=None, threads: int = 1,
     days = profiles.days()
     v_day = {d[0]: certify_day(net, profiles, plan_, d) for d in days}
     certified = tuple(t for t, v in v_day.items() if v is not None)
-    open_days = [d for d in days if v_day[d[0]] is None]
-
-    def one(day):
-        return dispatch_day(net, profiles, day, plan_.capacity_kwh,
-                            plan_.spec, (net.v_lower, net.v_upper), cfg=cfg)
-
-    for day, part in zip(open_days, pmap(one, open_days, threads)):
-        v_day[day[0]] = part.v_sq
+    for day in days:
+        if v_day[day[0]] is None:
+            v_day[day[0]] = dispatch_day(
+                net, profiles, day, plan_.capacity_kwh, plan_.spec,
+                (net.v_lower, net.v_upper), cfg=cfg).v_sq
     v_sq = np.hstack([v_day[d[0]] for d in days])
     out = tuple(residuals(net, profiles, range(profiles.n_hours), v_sq))
     failed = {r.hour for r in out}
@@ -466,7 +468,7 @@ def run_pvm(cfg: PvmConfig, command: str) -> PvmReport:
                              ranked, used, cset, plan_)
         verdict = _stage(
             "validate", validate_plan, net, profiles, plan_, cfg=cfg.solver,
-            threads=cfg.threads, round_index=round_index)
+            round_index=round_index)
         verdicts.append(verdict)
         if verdict.passed:
             status = "pass"
@@ -488,11 +490,9 @@ def run_pvm(cfg: PvmConfig, command: str) -> PvmReport:
             else range(profiles.n_hours)
         empty = BessPlan.empty(spec=cfg.bess)
         base_run = _stage("economics", tou_dispatch, net, profiles, empty,
-                          tariff, hours=scope, cfg=cfg.solver,
-                          threads=cfg.threads)
+                          tariff, hours=scope, cfg=cfg.solver)
         bess_run = _stage("economics", tou_dispatch, net, profiles, plan_,
-                          tariff, hours=scope, cfg=cfg.solver,
-                          threads=cfg.threads)
+                          tariff, hours=scope, cfg=cfg.solver)
         label = cfg.economics_scope
         rows = tuple(savings_report(
             {label: (base_run.cost, base_run.losses_kwh)},
@@ -649,7 +649,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None,
                    help="override the master seed")
     p.add_argument("--out", default=None, help="override the output directory")
-    p.add_argument("--threads", type=int, default=None)
     return p
 
 
@@ -677,8 +676,6 @@ def _configure(args) -> PvmConfig:
         cfg = replace(cfg, scenarios=replace(cfg.scenarios, seed=args.seed))
     if args.out is not None:
         cfg = replace(cfg, outdir=args.out)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     return cfg
 
 

@@ -681,24 +681,6 @@ class TestTouDispatch:
                                  tariff)
         assert with_bess.cost <= base.cost + 1e-9
 
-    def test_threaded_matches_serial(self):
-        net = feeder2()
-        profiles = profiles_from_rows(net, "2024-06-01T00",
-                                      uv_rows(peak=(900.0, 400.0),
-                                              base=(400.0, 150.0),
-                                              n_hours=72))
-        tariff = TouTariff.from_daily_pattern(tou_pattern(),
-                                              profiles.hour_of_day)
-        plan_ = _fixed_plan(BessSpec(), 400.0)
-        serial = tou_dispatch(net, profiles, plan_, tariff)
-        threaded = tou_dispatch(net, profiles, plan_, tariff, threads=2)
-        assert [d.hours for d in threaded.days] == \
-            [d.hours for d in serial.days]
-        assert (threaded.cost, threaded.losses_kwh) == \
-            (serial.cost, serial.losses_kwh)
-        for a, b in zip(serial.days, threaded.days):
-            assert np.array_equal(a.v_sq, b.v_sq)
-
     def test_uncovered_tariff_rejected(self):
         net = feeder2()
         profiles = flat_profiles(net, 500.0, 200.0, n_hours=48)

@@ -8,11 +8,13 @@ below), and exit 2 on a missing input file.
 `vva`, `stat`, `plan`, `validate`, `economics` and `run` run on a 5-bus
 line feeder over one day whose evening peak undervolts the far end.
 Each command must exit 0 with its status in summary.json, and write the
-same report bytes twice for one --seed, the second time on two threads.
+same report bytes twice for one --seed.
 A passing plan's validated voltages lie within the limits up to
 VALIDATION_TOL. An unknown config key, a mistyped value or a table
 value whose JSON type its field does not take exits 2 before any stage
-runs, and a null table means the same as an absent one. An error while
+runs, and a null table means the same as an absent one. A number of the
+feeder, profiles or tariff that is not finite, or a branch current cap
+that is not positive, exits 2 at load, naming the field. An error while
 writing the reports, outside any stage, exits 2 or 3 by its type,
 never 1. Each report table has one header: scored_days.csv
 keeps its ten columns when no day was scored. A storage cap far below
@@ -201,13 +203,14 @@ def line_inputs(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def line_runs(line_inputs):
-    """{(command, run): (exit code, outdir)}; run "b" uses two threads."""
+    """{(command, run): (exit code, outdir)}; runs "a" and "b" are the
+    same command line, so their reports must match byte for byte."""
     runs = {}
     for cmd in STATUS:
-        for tag, extra in (("a", []), ("b", ["--threads", "2"])):
+        for tag in "ab":
             out = line_inputs / cmd / tag
             rc = main([cmd, "--config", str(line_inputs / "config.json"),
-                       "--out", str(out), "--seed", "3", *extra])
+                       "--out", str(out), "--seed", "3"])
             runs[cmd, tag] = (rc, out)
     return runs
 
@@ -323,6 +326,59 @@ def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
                      "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, where, value, message", [
+    ("tariff.txt", (18, 0), "nan",
+     "[input] tariff prices must be finite and >= 0"),
+    ("tariff.txt", (18, 0), "inf",
+     "[input] tariff prices must be finite and >= 0"),
+    ("profiles.csv", (3, 2), "nan",
+     "[input] profile p_kw and q_kvar must be finite"),
+    ("profiles.csv", (40, 3), "-inf",
+     "[input] profile p_kw and q_kvar must be finite"),
+    ("feeder.json", ("branches", 0, "r_pu"), math.nan,
+     "[input] branch 1-2: r and x must be finite and >= 0"),
+    ("feeder.json", ("branches", 3, "x_pu"), math.inf,
+     "[input] branch 4-5: r and x must be finite and >= 0"),
+    ("feeder.json", ("bases", "s_mva"), math.nan,
+     "[input] bases s_mva and v_kv must be finite and positive"),
+    ("feeder.json", ("bases", "v_kv"), math.inf,
+     "[input] bases s_mva and v_kv must be finite and positive"),
+    ("feeder.json", ("slack_voltage_pu",), math.nan,
+     "[input] slack_voltage_pu must be finite"),
+    ("feeder.json", ("buses", 2, "p_base_kw"), math.nan,
+     "[input] bus 3: p_base_kw and q_base_kvar must be finite"),
+    ("feeder.json", ("buses", 4, "q_base_kvar"), -math.inf,
+     "[input] bus 5: p_base_kw and q_base_kvar must be finite"),
+    ("feeder.json", ("branches", 1, "i_limit_a"), -400.0,
+     "[input] branch 2-3: i_limit_a must be finite and positive"),
+    ("feeder.json", ("branches", 1, "i_limit_a"), math.nan,
+     "[input] branch 2-3: i_limit_a must be finite and positive"),
+])
+def test_non_finite_input_number_exits_two(line_inputs, tmp_path, capsys,
+                                           name, where, value, message):
+    # one number of one input file replaced: a feeder field by its JSON
+    # path (json writes NaN and Infinity), else a (line, column) cell
+    for f in ("config.json", "feeder.json", "profiles.csv", "tariff.txt"):
+        (tmp_path / f).write_bytes((line_inputs / f).read_bytes())
+    target = tmp_path / name
+    if name == "feeder.json":
+        doc = json.loads(target.read_text())
+        *keys, last = where
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        target.write_text(json.dumps(doc))
+    else:
+        rows = [line.split(",") for line in target.read_text().splitlines()]
+        rows[where[0]][where[1]] = value
+        target.write_text("".join(",".join(r) + "\n" for r in rows))
+    assert main(["vva", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_null_solver_table_means_no_solver_key(line_inputs, line_runs,

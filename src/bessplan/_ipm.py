@@ -10,10 +10,12 @@ second-order cones of sizes q = [q_0, q_1, ...].
 The method is the homogeneous self-dual embedding with Nesterov-Todd
 scaling and a Mehrotra predictor-corrector step (the standard conelp
 algorithm). Only 'l' and 'q' cones are supported; that is all the
-planning models need. Fully deterministic: LU factorizations with
-partial pivoting, banded along a fixed reverse Cuthill-McKee order for
-small systems and sparse for large ones, no randomization, no
-threading.
+planning models need. Fully deterministic, with no randomization and
+no threading. A small KKT system is factored by a band LU with partial
+pivoting along a fixed reverse Cuthill-McKee order. A large one is
+sparse: its shifted matrix is factored with diagonal pivoting and
+polished by iterative refinement, and an LU with partial pivoting is
+made only when refinement misses 1e-9 relative (_kkt_sparse).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import islice
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,13 +289,7 @@ def leaf_buses(net: Network) -> set:
             if i != net.slack and not len(net.down[i])}
 
 
-# LoadProfileSet.from_csv parses this many lines per block, so a
-# year-long file is never held in memory as Python strings at once.
-_CSV_BLOCK = 1 << 15
-# Fixed text width of the timestamp field while parsing; longer stamps
-# are rejected rather than truncated.
-_STAMP_WIDTH = 40
-_CSV_ROW = np.dtype([("timestamp", f"U{_STAMP_WIDTH}"), ("bus_id", np.int64),
+_CSV_ROW = np.dtype([("timestamp", "M8[h]"), ("bus_id", np.int64),
                      ("p_kw", float), ("q_kvar", float)])
 
 
@@ -316,6 +310,8 @@ class LoadProfileSet:
         q_kvar = _own_frozen(q_kvar)
         if horizon.ndim != 1 or len(horizon) == 0:
             raise ValueError("horizon must be a non-empty 1-d timestamp array")
+        if np.isnat(horizon).any():
+            raise ValueError("profile timestamps must not be NaT")
         steps = np.diff(horizon).astype("timedelta64[h]").astype(int)
         if len(steps) and not np.all(steps == 1):
             raise ValueError("horizon must be strictly increasing with hourly spacing")
@@ -376,51 +372,38 @@ class LoadProfileSet:
     def from_csv(cls, path):
         """Read comma-separated rows (timestamp, bus_id, p_kw, q_kvar).
 
-        The first line is the header `timestamp,bus_id,p_kw,q_kvar`.
-        Timestamps are anything np.datetime64 reads at hour resolution
-        (e.g. `2025-01-01T00`), bus ids are integers, p/q are floats.
+        After the header `timestamp,bus_id,p_kw,q_kvar`, one np.loadtxt
+        call reads hour-resolution timestamps (`2025-01-01T00`; a date
+        alone is 00:00), integer bus ids and float p/q. Fields may be
+        quoted with `"`, blank lines are skipped, and there is no comment
+        syntax. NaT and stamps with a UTC offset or `Z` are rejected.
         Rows may be in any order; every bus present must cover the same
-        full set of timestamps, each exactly once (a repeated
-        (timestamp, bus_id) row is rejected). The file is parsed in
-        blocks of lines, and each distinct timestamp text once.
+        full set of timestamps, each exactly once.
         """
-        stamps = {}       # timestamp text -> code, first-seen order
-        cols = []         # per block: (code, bus, p, q) arrays
-        with open(path) as fh:
+        with open(path) as fh, warnings.catch_warnings():
             header = fh.readline().rstrip("\r\n").split(",")
             if header == [""]:
                 raise ValueError("empty profile file")
             if [h.strip() for h in header] != list(_CSV_ROW.names):
                 raise ValueError(f"unexpected profile header {header}")
-            line = 2
-            for lines in iter(lambda: list(islice(fh, _CSV_BLOCK)), []):
-                try:
-                    rows = np.loadtxt(lines, delimiter=",", dtype=_CSV_ROW,
-                                      comments=None, quotechar='"', ndmin=1)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"profile rows from line {line}: {exc}") from None
-                line += len(lines)
-                # rows sharing a timestamp come in runs: map run heads only
-                ts = rows["timestamp"]
-                head = np.ones(len(ts), dtype=bool)
-                np.not_equal(ts[1:], ts[:-1], out=head[1:])
-                codes = np.array([stamps.setdefault(t, len(stamps))
-                                  for t in ts[head].tolist()], dtype=np.intp)
-                cols.append((codes[np.cumsum(head) - 1], rows["bus_id"].copy(),
-                             rows["p_kw"].copy(), rows["q_kvar"].copy()))
-        if not stamps:
+            # NumPy would convert a stamp with a UTC offset or `Z` (or a
+            # trailing space) to UTC; make that a conversion error instead
+            warnings.filterwarnings(
+                "error", message="no explicit representation of timezones")
+            warnings.filterwarnings(
+                "ignore", message="loadtxt: input contained no data")
+            try:
+                rows = np.loadtxt(fh, delimiter=",", dtype=_CSV_ROW,
+                                  comments=None, quotechar='"', ndmin=1)
+            except ValueError as exc:
+                raise ValueError("profile rows, counted from the first line "
+                                 f"after the header: {exc}") from None
+        if not len(rows):
             raise ValueError("empty profile file")
-        too_long = [t for t in stamps if len(t) >= _STAMP_WIDTH]
-        if too_long:
-            raise ValueError(f"timestamp {too_long[0]!r} is longer than "
-                             f"{_STAMP_WIDTH - 1} characters")
-        code, bus, p_in, q_in = [np.concatenate(c) for c in zip(*cols)]
-        del cols
-        horizon, hour_of = np.unique(
-            np.array(list(stamps), dtype="datetime64[h]"), return_inverse=True)
-        bus_ids, j = np.unique(bus, return_inverse=True)
-        k = hour_of[code]
+        horizon, k = np.unique(rows["timestamp"], return_inverse=True)
+        if np.isnat(horizon).any():
+            raise ValueError("profile timestamps must not be NaT")
+        bus_ids, j = np.unique(rows["bus_id"], return_inverse=True)
         H, nb = len(horizon), len(bus_ids)
         seen = np.bincount(k * nb + j, minlength=H * nb).reshape(H, nb)
         twice = np.argwhere(seen > 1)
@@ -436,8 +419,8 @@ class LoadProfileSet:
                 f"bus {bus_ids[b]} covers {covered[b]} of {H} timestamps")
         p = np.empty((H, nb))
         q = np.empty((H, nb))
-        p[k, j] = p_in
-        q[k, j] = q_in
+        p[k, j] = rows["p_kw"]
+        q[k, j] = rows["q_kvar"]
         return cls(horizon, bus_ids.tolist(), _frozen(p), _frozen(q))
 
     def to_csv(self, path):

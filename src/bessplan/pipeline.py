@@ -97,6 +97,8 @@ class ScenarioParams:
         check_share("daily_prob", self.daily_prob)
         check_share("penetration", self.penetration)
         check_growth(self.growth)
+        if self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Network model: loading, topology queries, profiles."""
 
 import json
+import re
 from importlib import resources
 
 import numpy as np
@@ -360,9 +361,71 @@ class TestProfiles:
         path.write_text("timestamp,bus_id,p_kw,q_kvar\n")
         with pytest.raises(ValueError, match="empty"):
             LoadProfileSet.from_csv(path)
-        path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
+        for text in ("", "timestamp,bus_id,p_kw,q_kvar\n\n\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="empty"):
+                LoadProfileSet.from_csv(path)
+
+    def test_csv_dialect_the_reader_accepts(self, tmp_path):
+        # quoted fields, spaces around numbers and before a stamp, a blank
+        # line, CRLF line ends, no final newline, a date-only stamp (00:00)
+        path = tmp_path / "loose.csv"
+        path.write_bytes(
+            b"timestamp, bus_id ,p_kw,q_kvar\r\n"
+            b'"2025-01-01T00",2,"1.0",0.5\r\n'
+            b"\r\n"
+            b" 2025-01-01T01, 2 , 3.0 ,0.25\r\n"
+            b"2025-01-01,3,2.0,1.5\r\n"
+            b"2025-01-01T01,3,4.0,-1e-3")
+        back = LoadProfileSet.from_csv(path)
+        np.testing.assert_array_equal(
+            back.horizon, np.datetime64("2025-01-01T00") + np.arange(2))
+        assert back.bus_ids == (2, 3)
+        np.testing.assert_array_equal(back.p_kw, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(back.q_kvar, [[0.5, 1.5], [0.25, -1e-3]])
+
+    @pytest.mark.parametrize("line, found", [
+        ("2025-01-01T01,2,1.0,0.5,9", "4 columns but 5 were found at row 2"),
+        ("# a note", "4 columns but 1 were found at row 2"),
+        ("2025-01-01T01,x,1.0,0.5", "string 'x' to int64 at row 1"),
+    ])
+    def test_bad_row_named_from_the_line_after_the_header(self, tmp_path,
+                                                         line, found):
+        path = tmp_path / "bad.csv"
+        path.write_text("timestamp,bus_id,p_kw,q_kvar\n"
+                        f"2025-01-01T00,2,1.0,0.5\n{line}\n")
+        with pytest.raises(ValueError, match="^profile rows") as err:
             LoadProfileSet.from_csv(path)
+        assert found in str(err.value)
+
+    @pytest.mark.parametrize("suffix", ["+01", "-05", "Z", " "])
+    def test_utc_offset_rejected_not_shifted(self, tmp_path, suffix):
+        # NumPy would read each stamp as UTC and move its clock hour; a
+        # space after a stamp parses as a timezone too
+        path = tmp_path / "tz.csv"
+        path.write_text("timestamp,bus_id,p_kw,q_kvar\n" + "".join(
+            f"2025-01-01T{h:02d}{suffix},2,1.0,0.5\n" for h in range(3)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"could not convert string '2025-01-01T00{suffix}' to "
+                "datetime64[h] at row 0, column 1")):
+            LoadProfileSet.from_csv(path)
+
+    def test_nat_timestamps_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="timestamps must not be NaT"):
+            LoadProfileSet(np.array(["NaT"], dtype="datetime64[h]"), (2,),
+                           [[1.0]], [[0.5]])
+        with pytest.raises(ValueError, match="timestamps must not be NaT"):
+            LoadProfileSet(np.array(["2025-01-01T00", "NaT"],
+                                    dtype="datetime64[h]"), (2,),
+                           [[1.0], [1.0]], [[0.5], [0.5]])
+        path = tmp_path / "nat.csv"
+        for stamps in (["NaT", "NaT"], ["2025-01-01T00", "NaT"],
+                       ["2025-01-01T00", ""]):
+            path.write_text("timestamp,bus_id,p_kw,q_kvar\n" + "".join(
+                f"{t},{b},1.0,0.5\n" for t, b in zip(stamps, (2, 3))))
+            with pytest.raises(ValueError,
+                               match="timestamps must not be NaT"):
+                LoadProfileSet.from_csv(path)
 
     def test_shuffled_rows_give_same_arrays(self, tmp_path):
         rng = np.random.default_rng(5)

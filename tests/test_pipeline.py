@@ -12,9 +12,11 @@ same report bytes twice for one --seed.
 A passing plan's validated voltages lie within the limits up to
 VALIDATION_TOL. An unknown config key, a mistyped value or a table
 value whose JSON type its field does not take exits 2 before any stage
-runs, and a null table means the same as an absent one. A number of the
-feeder, profiles or tariff that is not finite, or a branch current cap
-that is not positive, exits 2 at load, naming the field. An error while
+runs, and a null table means the same as an absent one; so does a
+negative --seed. A number of the feeder, profiles or tariff that is not
+finite, a branch current cap that is not positive, a NaT profile
+timestamp, or profile timestamps with a UTC offset or `Z`, exits 2 at
+load, naming the field. An error while
 writing the reports, outside any stage, exits 2 or 3 by its type,
 never 1. Each report table has one header: scored_days.csv
 keeps its ten columns when no day was scored. A storage cap far below
@@ -314,6 +316,8 @@ def test_economics_cells_are_plain_floats(line_runs):
      "[config] 'bess': need 0 <= e_min_kwh <= e_max_kwh < inf"),
     ("bess", {"e_max_kwh": math.inf},
      "[config] 'bess': need 0 <= e_min_kwh <= e_max_kwh < inf"),
+    ("scenarios", {"seed": -3},
+     "[config] 'scenarios': seed must be an integer >= 0, got -3"),
 ])
 def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
                                       value, message):
@@ -326,6 +330,15 @@ def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
                      "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd", ["scenarios", "vva"])
+def test_negative_seed_option_exits_two(line_inputs, tmp_path, capsys, cmd):
+    assert main([cmd, "--config", str(line_inputs / "config.json"),
+                 "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+    assert "[config] seed must be an integer >= 0, got -1" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, where, value, message", [
@@ -355,6 +368,8 @@ def test_unknown_config_key_exits_two(line_inputs, tmp_path, capsys, key,
      "[input] branch 2-3: i_limit_a must be finite and positive"),
     ("feeder.json", ("branches", 1, "i_limit_a"), math.nan,
      "[input] branch 2-3: i_limit_a must be finite and positive"),
+    ("profiles.csv", (3, 0), "NaT",
+     "[input] profile timestamps must not be NaT"),
 ])
 def test_non_finite_input_number_exits_two(line_inputs, tmp_path, capsys,
                                            name, where, value, message):
@@ -378,6 +393,25 @@ def test_non_finite_input_number_exits_two(line_inputs, tmp_path, capsys,
     assert main(["vva", "--config", str(tmp_path / "config.json"),
                  "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suffix", ["+01", "Z"])
+def test_profile_stamps_with_a_utc_offset_exit_two(line_inputs, tmp_path,
+                                                   capsys, suffix):
+    # every stamp suffixed, so none is read as a duplicate of another
+    for f in ("config.json", "feeder.json", "tariff.txt"):
+        (tmp_path / f).write_bytes((line_inputs / f).read_bytes())
+    head, *rows = (line_inputs / "profiles.csv").read_text().splitlines()
+    (tmp_path / "profiles.csv").write_text("".join(
+        f"{line}\n" for line in [head] + [
+            row.replace(",", suffix + ",", 1) for row in rows]))
+    assert main(["vva", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    stamp = rows[0].split(",")[0] + suffix
+    assert (f"[input] profile rows, counted from the first line after the "
+            f"header: could not convert string '{stamp}' to datetime64[h] "
+            f"at row 0, column 1.") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

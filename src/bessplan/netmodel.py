@@ -289,7 +289,7 @@ def leaf_buses(net: Network) -> set:
             if i != net.slack and not len(net.down[i])}
 
 
-_CSV_ROW = np.dtype([("timestamp", "M8[h]"), ("bus_id", np.int64),
+_CSV_ROW = np.dtype([("timestamp", "M8[s]"), ("bus_id", np.int64),
                      ("p_kw", float), ("q_kvar", float)])
 
 
@@ -373,10 +373,11 @@ class LoadProfileSet:
         """Read comma-separated rows (timestamp, bus_id, p_kw, q_kvar).
 
         After the header `timestamp,bus_id,p_kw,q_kvar`, one np.loadtxt
-        call reads hour-resolution timestamps (`2025-01-01T00`; a date
+        call reads timestamps to the second (`2025-01-01T00`; a date
         alone is 00:00), integer bus ids and float p/q. Fields may be
         quoted with `"`, blank lines are skipped, and there is no comment
-        syntax. NaT and stamps with a UTC offset or `Z` are rejected.
+        syntax. NaT, stamps off the hour and stamps with a UTC offset or
+        `Z` are rejected.
         Rows may be in any order; every bus present must cover the same
         full set of timestamps, each exactly once.
         """
@@ -403,6 +404,10 @@ class LoadProfileSet:
         horizon, k = np.unique(rows["timestamp"], return_inverse=True)
         if np.isnat(horizon).any():
             raise ValueError("profile timestamps must not be NaT")
+        off = horizon[horizon != horizon.astype("M8[h]")]
+        if len(off):
+            raise ValueError(f"profile timestamp {off[0]} is not on the hour")
+        horizon = horizon.astype("M8[h]")
         bus_ids, j = np.unique(rows["bus_id"], return_inverse=True)
         H, nb = len(horizon), len(bus_ids)
         seen = np.bincount(k * nb + j, minlength=H * nb).reshape(H, nb)

@@ -381,8 +381,8 @@ def _fit_panel_distributions(seed):
     """Fit event KDEs from the synthetic meter panel (no real data)."""
     comp, _, base = synth_households(seed=seed)
     ext = extract_ev_load(comp, base)
-    events = [e for j in range(ext.shape[1]) for e in detect_events(ext[:, j])]
-    return fit_event_distributions(events)
+    return fit_event_distributions(np.vstack(
+        [detect_events(ext[:, j]) for j in range(ext.shape[1])]))
 
 
 def _distributions_for(cfg: PvmConfig):

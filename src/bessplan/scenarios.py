@@ -3,17 +3,19 @@
 Covers the full chain from raw household meter signals to bus-level
 load overlays: a synthetic composite-signal generator (stand-in for
 real smart-meter panels), the five-stage EV-load extraction pipeline,
-threshold event detection and classification, Gaussian KDE models of
-(duration, energy) and start hour, and Monte Carlo synthesis of annual
-per-charger scenarios that can be overlaid on a feeder at a chosen
-penetration level.
+threshold event detection, Gaussian KDE models of (duration, energy)
+and start hour, and Monte Carlo synthesis of annual per-charger
+scenarios that can be overlaid on a feeder at a chosen penetration
+level. A charging session is always one row of a read-only (k, 3)
+float array: start hour (offset into its series), duration h, energy
+kWh.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .netmodel import (LoadProfileSet, Network, _frozen, _own_frozen,
 
 # Event rules on an hourly series: a session is a maximal run of hours
 # above P_RUN_KW lasting at least MIN_RUN_H, or any single hour above
-# P_PEAK_KW. Class thresholds cut on average power.
+# P_PEAK_KW.
 P_RUN_KW = 4.0
 MIN_RUN_H = 2
 P_PEAK_KW = 7.2
@@ -64,37 +66,6 @@ def check_scenario_count(n_scenarios):
 
 
 @dataclass(frozen=True)
-class ChargingEvent:
-    """One charging session.
-
-    start is in hours: absolute offset into the owning series for
-    detected / embedded events, hour of day for sampled ones. p_avg and
-    the class label are derived, never stored independently.
-    """
-
-    start: float
-    duration_h: float
-    energy_kwh: float
-    p_avg_kw: float = field(init=False)
-    klass: str = field(init=False)
-
-    def __post_init__(self):
-        if not self.duration_h > 0:
-            raise ScenarioError(f"event duration must be positive, got {self.duration_h}")
-        if not self.energy_kwh > 0:
-            raise ScenarioError(f"event energy must be positive, got {self.energy_kwh}")
-        p = self.energy_kwh / self.duration_h
-        object.__setattr__(self, "p_avg_kw", p)
-        if p < P_RUN_KW:
-            k = "low"
-        elif p > P_PEAK_KW:
-            k = "high"
-        else:
-            k = "normal"
-        object.__setattr__(self, "klass", k)
-
-
-@dataclass(frozen=True)
 class Kde:
     """Product-kernel Gaussian KDE with a per-dimension bandwidth.
 
@@ -115,6 +86,8 @@ class Kde:
         if bw.shape != (pts.shape[1],):
             raise ScenarioError(
                 f"bandwidth shape {bw.shape} does not match dimension {pts.shape[1]}")
+        if not (np.isfinite(pts).all() and np.isfinite(bw).all()):
+            raise ScenarioError("KDE points and bandwidths must be finite")
         if not np.all(bw > 0):
             raise ScenarioError("bandwidths must be positive")
         pts = pts.copy()
@@ -200,81 +173,71 @@ class ScenarioSet:
 # synthetic household generator
 
 
-# Default household daily shape, kW by hour of day: morning and evening
-# peaks, a deep workday valley at 13:00. The valley must be sharp and
+# Household daily shape, kW by hour of day: morning and evening peaks,
+# a deep workday valley at 13:00. The valley must be sharp and
 # session-free: the extraction pipeline aligns series on the trough of
 # the 95th-percentile daily profile, and evening sessions spilling past
 # midnight pollute the overnight quantiles, so the overnight floor
 # cannot serve as a stable trough.
-DEFAULT_SHAPE = (
+_DAILY_SHAPE = (
     0.62, 0.58, 0.55, 0.53, 0.55, 0.60, 0.75, 0.95,
     1.05, 0.95, 0.80, 0.66, 0.52, 0.40, 0.52, 0.62,
     0.75, 0.95, 1.25, 1.45, 1.50, 1.35, 1.05, 0.80,
 )
+# Hour-of-day session start weights: bulk in the evening, a small
+# overnight and morning tail, none in the 10:00-15:00 valley (owners
+# away; also keeps the alignment trough hour free of sessions).
+_START_WEIGHTS = (
+    0.010, 0.006, 0.004, 0.002, 0.002, 0.002,
+    0.004, 0.008, 0.010, 0.006, 0.000, 0.000,
+    0.000, 0.000, 0.000, 0.000, 0.008, 0.020,
+    0.060, 0.150, 0.240, 0.230, 0.150, 0.088,
+)
+# Session energy is lognormal with this mode (kWh) and shape, so that
+# energies peak near 10 kWh and rarely exceed 30 kWh; average power is
+# uniform in [_P_LO_KW, _P_HI_KW].
+_ENERGY_MODE_KWH = 10.0
+_ENERGY_SIGMA = 0.5
+_P_LO_KW = 4.2
+_P_HI_KW = 7.0
 
 
 @dataclass(frozen=True)
 class SynthParams:
-    """Knobs of the synthetic smart-meter panel.
-
-    Sessions draw lognormal energy (mode energy_mode_kwh) and a uniform
-    average power, with start hours weighted toward the evening.
-    Defaults are calibrated so that session energies peak near 10 kWh
-    and rarely exceed 30 kWh, and starts concentrate in 19:00-23:00
-    with ends running into the night.
-    """
+    """Knobs of the synthetic smart-meter panel; the household shape and
+    the session model are the module's _DAILY_SHAPE to _P_HI_KW."""
 
     n_homes: int = 6
     days: int = 60
     event_rate: float = 0.5        # per-home daily session probability
-    daily_shape: tuple = DEFAULT_SHAPE  # kW by hour of day
     noise_kw: float = 0.03         # hourly Gaussian noise sigma
-    energy_mode_kwh: float = 10.0  # lognormal mode of session energy
-    energy_sigma: float = 0.5      # lognormal shape parameter
-    p_lo_kw: float = 4.2           # session average-power range
-    p_hi_kw: float = 7.0
-    # hour-of-day start weights: bulk in the evening, a small overnight
-    # and morning tail, none in the 10:00-15:00 valley (owners away;
-    # also keeps the alignment trough hour free of sessions)
-    start_weights: tuple = (
-        0.010, 0.006, 0.004, 0.002, 0.002, 0.002,
-        0.004, 0.008, 0.010, 0.006, 0.000, 0.000,
-        0.000, 0.000, 0.000, 0.000, 0.008, 0.020,
-        0.060, 0.150, 0.240, 0.230, 0.150, 0.088,
-    )
 
     def __post_init__(self):
         if self.n_homes < 1 or self.days < 1:
             raise ScenarioError("need at least one home and one day")
         if not 0.0 <= self.event_rate <= 1.0:
             raise ScenarioError(f"event_rate must lie in [0, 1], got {self.event_rate}")
-        shape = np.asarray(self.daily_shape, dtype=float)
-        if shape.shape != (24,) or shape.min() <= 0:
-            raise ScenarioError("daily_shape must be 24 positive hourly kW values")
-        w = np.asarray(self.start_weights, dtype=float)
-        if w.shape != (24,) or w.min() < 0 or w.sum() <= 0:
-            raise ScenarioError("start_weights must be 24 non-negative hour weights")
-        if not 0 < self.p_lo_kw <= self.p_hi_kw:
-            raise ScenarioError("need 0 < p_lo_kw <= p_hi_kw")
 
 
-def _place(series, t0, duration, p_avg):
-    """Add a constant-power session starting at integer hour t0.
+def _write_sessions(row, t0, dur, p):
+    """Add constant-power sessions to row, an hourly kW series.
 
-    The tail hour gets the fractional remainder so the hourly integral
-    equals p_avg * duration exactly. Returns the realized (duration,
-    energy) after clipping at the end of the series.
+    Session i starts at integer hour t0[i] and runs dur[i] h at p[i] kW,
+    dur[i] already cut at the end of the row. Its full hours get p[i]
+    and the hour after them p[i] times the remainder when that exceeds
+    1e-12 h, so the row gains p[i] * dur[i]. One np.add.at adds
+    each session's full hours, then its tail hour, session by session,
+    so an hour that sessions share sums them in session order.
     """
-    H = len(series)
-    if t0 >= H:
-        return 0.0, 0.0
-    duration = min(duration, float(H - t0))
-    full = int(duration)
-    series[t0:t0 + full] += p_avg
-    frac = duration - full
-    if frac > 1e-12:
-        series[t0 + full] += p_avg * frac
-    return duration, p_avg * duration
+    full = dur.astype(np.intp)
+    frac = dur - full
+    tail = frac > 1e-12
+    n = full + tail
+    end = np.cumsum(n)
+    kw = np.repeat(p, n)
+    kw[end[tail] - 1] = p[tail] * frac[tail]
+    # session i covers hours t0[i] .. t0[i] + n[i] - 1
+    np.add.at(row, np.repeat(t0 - end + n, n) + np.arange(n.sum()), kw)
 
 
 def synth_households(params=None, seed=0):
@@ -283,38 +246,40 @@ def synth_households(params=None, seed=0):
     Returns (composite, events, baseline): baseline is an (H, n_homes)
     kW panel of non-EV signals, composite the same homes with embedded
     charging sessions on top (so with a zero event rate the two are
-    identical arrays), and events the per-home tuples of ground-truth
-    ChargingEvent with start as absolute hour offset.
+    identical arrays), and events one read-only (k, 3) array of
+    ground-truth sessions per home, in start order, with start as
+    absolute hour offset. Sessions of one home may overlap.
     """
     if params is None:
         params = SynthParams()
     rng = np.random.default_rng(seed)
     H = 24 * params.days
-    shape = np.asarray(params.daily_shape, dtype=float)
-    w = np.asarray(params.start_weights, dtype=float)
+    w = np.asarray(_START_WEIGHTS, dtype=float)
     w = w / w.sum()
-    mu = np.log(params.energy_mode_kwh) + params.energy_sigma ** 2
+    mu = np.log(_ENERGY_MODE_KWH) + _ENERGY_SIGMA ** 2
 
     factors = rng.uniform(0.8, 1.2, size=params.n_homes)
-    base = factors[None, :] * np.tile(shape, params.days)[:, None]
+    base = factors[None, :] * np.tile(_DAILY_SHAPE, params.days)[:, None]
     base = base + rng.normal(0.0, params.noise_kw, size=(H, params.n_homes))
     base = np.clip(base, 0.0, None)
 
     ev = np.zeros_like(base)
     events = []
     for k in range(params.n_homes):
-        per_home = []
+        rows, p = [], []
         for d in range(params.days):
             if rng.random() >= params.event_rate:
                 continue
-            energy = rng.lognormal(mu, params.energy_sigma)
-            p_avg = rng.uniform(params.p_lo_kw, params.p_hi_kw)
-            h0 = int(rng.choice(24, p=w))
-            t0 = d * 24 + h0
-            dur, realized = _place(ev[:, k], t0, energy / p_avg, p_avg)
-            if realized > 0:
-                per_home.append(ChargingEvent(float(t0), dur, realized))
-        events.append(tuple(per_home))
+            energy = rng.lognormal(mu, _ENERGY_SIGMA)
+            p_avg = rng.uniform(_P_LO_KW, _P_HI_KW)
+            t0 = d * 24 + int(rng.choice(24, p=w))
+            dur = min(energy / p_avg, float(H - t0))
+            rows.append((float(t0), dur, p_avg * dur))
+            p.append(p_avg)
+        sessions = _event_array(rows)
+        _write_sessions(ev[:, k], sessions[:, 0].astype(np.intp),
+                        sessions[:, 1], np.array(p))
+        events.append(sessions)
 
     return base + ev, tuple(events), base
 
@@ -383,28 +348,17 @@ def detect_events(load):
     """Find charging sessions on an hourly kW series.
 
     A session is a maximal run of hours strictly above 4 kW that either
-    lasts at least two hours or peaks strictly above 7.2 kW. Energy is
-    the hourly integral over the run; starts are hour offsets into the
-    series.
+    lasts at least two hours or peaks strictly above 7.2 kW. Returns the
+    sessions as a read-only (k, 3) array in start order: start hour
+    (offset into the series), run length h and the hourly integral over
+    the run.
     """
     x = np.asarray(load, dtype=float).reshape(-1)
-    above = x > P_RUN_KW
-    events = []
-    i = 0
-    n = len(x)
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and above[j]:
-            j += 1
-        run = x[i:j]
-        if (j - i) >= MIN_RUN_H or run.max() > P_PEAK_KW:
-            events.append(ChargingEvent(float(i), float(j - i),
-                                        float(run.sum())))
-        i = j
-    return events
+    edges = np.flatnonzero(np.diff(np.concatenate(
+        ([False], x > P_RUN_KW, [False]))))
+    return _event_array([
+        (i, j - i, x[i:j].sum()) for i, j in edges.reshape(-1, 2).tolist()
+        if j - i >= MIN_RUN_H or x[i:j].max() > P_PEAK_KW])
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +386,11 @@ def fit_kde(samples):
 
 
 def fit_event_distributions(events):
-    """Fit the joint (duration, energy) and start-hour KDEs from events."""
-    events = list(events)
-    joint = fit_kde([(e.duration_h, e.energy_kwh) for e in events])
-    start = fit_kde([e.start % 24.0 for e in events])
-    return EventDistributions(joint, start)
+    """Fit the joint (duration, energy) and start-hour KDEs from (k, 3)
+    session rows (start hour, duration h, energy kWh)."""
+    events = _event_array(events)
+    return EventDistributions(fit_kde(events[:, 1:]),
+                              fit_kde(events[:, 0] % 24.0))
 
 
 def _draw_sessions(dist, n, rng):
@@ -471,10 +425,8 @@ def _one_scenario(dist, daily_prob, seed, k, row):
 
     Scenario k runs on its own RNG stream derived from the master seed:
     the days' charging coin flips, then the charging days' sessions (see
-    _draw_sessions). Only the overlap fix-up runs session by session.
-    The kept sessions do not overlap, so one scatter writes their full
-    hours and one more adds their fractional tails; as in _place, a
-    tail hour gets p_avg times a remainder above 1e-12 h.
+    _draw_sessions). Only the overlap fix-up runs session by session;
+    _write_sessions then writes the kept sessions onto row.
     """
     rng = np.random.default_rng([seed, k])
     H = len(row)
@@ -496,18 +448,12 @@ def _one_scenario(dist, daily_prob, seed, k, row):
             events.append((float(t0), dur, p * dur))
             p_avg.append(p)
             busy_until = t0 + dur
-    events = np.array(events) if events else np.empty((0, 3))
-    p_avg = np.array(p_avg)
-    t0 = events[:, 0].astype(np.intp)
-    full = events[:, 1].astype(np.intp)
-    frac = events[:, 1] - full
-    row[np.repeat(t0 - np.cumsum(full) + full, full)
-        + np.arange(full.sum())] = np.repeat(p_avg, full)
-    tail = frac > 1e-12
-    # add, not assign: past hour 2**14, t0 + dur can round down to a
-    # session's tail hour, so the next session may start in that hour
-    np.add.at(row, t0[tail] + full[tail], p_avg[tail] * frac[tail])
-    return _frozen(events)
+    events = _event_array(events)
+    # past hour 2**14, t0 + dur can round down to a session's tail hour,
+    # so the next session may start in that hour
+    _write_sessions(row, events[:, 0].astype(np.intp), events[:, 1],
+                    np.array(p_avg))
+    return events
 
 
 def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365):
@@ -520,9 +466,9 @@ def generate_annual(dist, n_scenarios, daily_prob, seed=0, days=365):
     start hour, spilling into the next day when it runs past midnight (a
     session that would start while the previous one runs is delayed
     until it ends, and a session is cut at the end of the horizon).
-    A session runs at constant power: its full hours carry the average
-    power, the hour after them the power times the fractional
-    remainder, so a series sums to its events' energies.
+    A session runs at constant power (see _write_sessions): its full
+    hours carry the average power, the hour after them the power times
+    the fractional remainder, so a series sums to its events' energies.
     Scenario k runs on its own RNG stream, seeded by (seed, k), so it
     does not depend on the other scenarios drawn. The work holds the
     interpreter lock, so the scenarios are drawn in turn. Each stream

@@ -369,6 +369,7 @@ class TestProfiles:
     def test_csv_dialect_the_reader_accepts(self, tmp_path):
         # quoted fields, spaces around numbers and before a stamp, a blank
         # line, CRLF line ends, no final newline, a date-only stamp (00:00)
+        # and one with minutes and seconds on the hour
         path = tmp_path / "loose.csv"
         path.write_bytes(
             b"timestamp, bus_id ,p_kw,q_kvar\r\n"
@@ -376,7 +377,7 @@ class TestProfiles:
             b"\r\n"
             b" 2025-01-01T01, 2 , 3.0 ,0.25\r\n"
             b"2025-01-01,3,2.0,1.5\r\n"
-            b"2025-01-01T01,3,4.0,-1e-3")
+            b"2025-01-01T01:00:00,3,4.0,-1e-3")
         back = LoadProfileSet.from_csv(path)
         np.testing.assert_array_equal(
             back.horizon, np.datetime64("2025-01-01T00") + np.arange(2))
@@ -407,7 +408,23 @@ class TestProfiles:
             f"2025-01-01T{h:02d}{suffix},2,1.0,0.5\n" for h in range(3)))
         with pytest.raises(ValueError, match=re.escape(
                 f"could not convert string '2025-01-01T00{suffix}' to "
-                "datetime64[h] at row 0, column 1")):
+                "datetime64[s] at row 0, column 1")):
+            LoadProfileSet.from_csv(path)
+
+    @pytest.mark.parametrize("stamps, named", [
+        (["2025-01-01T00:30"], "2025-01-01T00:30:00"),
+        (["2025-01-01T00:00", "2025-01-01T00:30", "2025-01-01T01:00",
+          "2025-01-01T01:30"], "2025-01-01T00:30:00"),
+        (["2025-01-01T00", "2025-01-01T01:00:01"], "2025-01-01T01:00:01"),
+    ])
+    def test_stamp_off_the_hour_rejected(self, tmp_path, stamps, named):
+        # NumPy would floor each stamp to its hour: a :30 file would load
+        # as hourly data, a half-hourly one fail as duplicate rows
+        path = tmp_path / "sub.csv"
+        path.write_text("timestamp,bus_id,p_kw,q_kvar\n" + "".join(
+            f"{t},2,1.0,0.5\n" for t in stamps))
+        with pytest.raises(ValueError, match=re.escape(
+                f"profile timestamp {named} is not on the hour")):
             LoadProfileSet.from_csv(path)
 
     def test_nat_timestamps_rejected(self, tmp_path):

@@ -410,8 +410,59 @@ def test_profile_stamps_with_a_utc_offset_exit_two(line_inputs, tmp_path,
                  "--out", str(tmp_path / "out")]) == 2
     stamp = rows[0].split(",")[0] + suffix
     assert (f"[input] profile rows, counted from the first line after the "
-            f"header: could not convert string '{stamp}' to datetime64[h] "
+            f"header: could not convert string '{stamp}' to datetime64[s] "
             f"at row 0, column 1.") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("half_hourly", [False, True])
+def test_profile_stamps_off_the_hour_exit_two(line_inputs, tmp_path, capsys,
+                                              half_hourly):
+    # one row stamped :30, or every row followed by a copy at :30
+    for f in ("config.json", "feeder.json", "tariff.txt"):
+        (tmp_path / f).write_bytes((line_inputs / f).read_bytes())
+    head, *rows = (line_inputs / "profiles.csv").read_text().splitlines()
+    half = [row.replace(",", ":30,", 1) for row in rows]
+    body = ([r for pair in zip(rows, half) for r in pair] if half_hourly
+            else half[:1])
+    (tmp_path / "profiles.csv").write_text(
+        "".join(f"{line}\n" for line in [head] + body))
+    assert main(["vva", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    stamp = np.datetime64(rows[0].split(",")[0]) + np.timedelta64(30, "m")
+    assert (f"[input] profile timestamp {stamp}:00 is not on the hour"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edits", [
+    ((("start", "points", 0), 0, math.nan), (("joint", "bw"), 1, math.inf)),
+    ((("joint", "bw"), 0, math.inf), (("joint", "bw"), 1, math.inf)),
+], ids=["nan_start_point", "infinite_joint_bw"])
+def test_non_finite_distributions_snapshot_exits_two(line_inputs, tmp_path,
+                                                     capsys, edits):
+    # infinite bandwidths draw sessions of infinite or NaN power, which
+    # are dropped (an all-zero EV load) or poison the overlaid profiles;
+    # the run must stop at the snapshot instead
+    scen = tmp_path / "scen"
+    assert main(["scenarios", "--config", str(line_inputs / "config.json"),
+                 "--out", str(scen), "--seed", "3"]) == 0
+    snap = json.loads((scen / "distributions.json").read_text())
+    for path, last, value in edits:
+        node = snap
+        for key in path:
+            node = node[key]
+        node[last] = value
+    (tmp_path / "dist.json").write_text(json.dumps(snap))
+    for f in ("feeder.json", "profiles.csv", "tariff.txt"):
+        (tmp_path / f).write_bytes((line_inputs / f).read_bytes())
+    doc = json.loads((line_inputs / "config.json").read_text())
+    doc["distributions"] = str(tmp_path / "dist.json")
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["vva", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert ("[scenarios] KDE points and bandwidths must be finite"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

@@ -18,25 +18,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bessplan import scenarios
 from bessplan.netmodel import scale_profiles
-from bessplan.scenarios import (ChargingEvent, EventDistributions, Kde,
+from bessplan.scenarios import (P_PEAK_KW, P_RUN_KW, EventDistributions, Kde,
                                 ScenarioError, ScenarioSet, SynthParams,
-                                _draw_sessions, detect_events,
-                                extract_ev_load, fit_event_distributions,
-                                fit_kde, generate_annual,
-                                overlay_penetration, read_distributions,
-                                synth_households, write_distributions,
-                                write_scenarios)
+                                _draw_sessions, _write_sessions,
+                                detect_events, extract_ev_load,
+                                fit_event_distributions, fit_kde,
+                                generate_annual, overlay_penetration,
+                                read_distributions, synth_households,
+                                write_distributions, write_scenarios)
 from helpers_power import base_profiles, load_bundled
 
 
 def sample_events(dist, n, seed=0):
-    """Draw n classified charging events from fitted distributions, as
-    the annual scenarios draw their charging days' sessions."""
+    """Draw n charging sessions from fitted distributions, as the annual
+    scenarios draw their charging days' sessions: (n, 3) rows of start
+    hour, duration h and energy kWh."""
     durs, energies, starts = _draw_sessions(dist, n,
                                             np.random.default_rng(seed))
-    return [ChargingEvent(float(h), dur, energy) for dur, energy, h
-            in zip(durs.tolist(), energies.tolist(), starts.tolist())]
+    return np.column_stack([starts, durs, energies])
+
+
+def place(series, t0, duration, p):
+    """Add one constant-power session to series: p on its full hours,
+    then p times the remainder on the next hour when the remainder
+    exceeds 1e-12 h."""
+    full = int(duration)
+    series[t0:t0 + full] += p
+    if duration - full > 1e-12:
+        series[t0 + full] += p * (duration - full)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +60,7 @@ def panel():
 def fitted(panel):
     """Distributions fitted from the panel's ground-truth events."""
     _, truth, _ = panel
-    return fit_event_distributions([e for per in truth for e in per])
+    return fit_event_distributions(np.vstack(truth))
 
 
 def point_dist(duration, energy, start=20.5, bw=1e-9):
@@ -67,9 +78,8 @@ def point_dist(duration, energy, start=20.5, bw=1e-9):
 def reference_annual(dist, n, daily_prob, seed, days):
     """generate_annual's series and events, placed session by session.
 
-    Same streams and overlap fix-up; each kept session adds its power
-    to its full hours, then p_avg times the remainder to the next hour
-    when the remainder exceeds 1e-12 h.
+    Same streams and overlap fix-up; each kept session is added with
+    place.
     """
     H = 24 * days
     series = np.zeros((n, H))
@@ -88,10 +98,7 @@ def reference_annual(dist, n, daily_prob, seed, days):
                 continue
             p = energy / dur
             dur = min(dur, float(H - t0))
-            full = int(dur)
-            series[k, t0:t0 + full] += p
-            if dur - full > 1e-12:
-                series[k, t0 + full] += p * (dur - full)
+            place(series[k], t0, dur, p)
             if p * dur > 0:
                 rows.append((float(t0), dur, p * dur))
                 busy_until = t0 + dur
@@ -99,31 +106,78 @@ def reference_annual(dist, n, daily_prob, seed, days):
     return series, events
 
 
-class TestChargingEvent:
-    def test_p_avg_is_energy_over_duration(self):
-        e = ChargingEvent(0.0, 2.5, 10.0)
-        assert e.p_avg_kw == 4.0
-        assert e.klass == "normal"
+def reference_households(params, seed):
+    """synth_households' panels and events, placed session by session.
 
-    def test_low_class(self):
-        # 10 h at 30 kWh averages 3 kW
-        assert ChargingEvent(0.0, 10.0, 30.0).klass == "low"
+    Same stream: the homes' amplitude factors, the baseline noise, then
+    per home and day a coin flip and, on a charging day, the session's
+    energy, average power and start hour.
+    """
+    rng = np.random.default_rng(seed)
+    H = 24 * params.days
+    w = np.asarray(scenarios._START_WEIGHTS)
+    w = w / w.sum()
+    mu = np.log(scenarios._ENERGY_MODE_KWH) + scenarios._ENERGY_SIGMA ** 2
+    factors = rng.uniform(0.8, 1.2, size=params.n_homes)
+    base = factors[None, :] * np.tile(scenarios._DAILY_SHAPE,
+                                      params.days)[:, None]
+    base = np.clip(base + rng.normal(0.0, params.noise_kw,
+                                     size=(H, params.n_homes)), 0.0, None)
+    ev = np.zeros_like(base)
+    events = []
+    for k in range(params.n_homes):
+        rows = []
+        for d in range(params.days):
+            if rng.random() >= params.event_rate:
+                continue
+            energy = rng.lognormal(mu, scenarios._ENERGY_SIGMA)
+            p = rng.uniform(scenarios._P_LO_KW, scenarios._P_HI_KW)
+            t0 = d * 24 + int(rng.choice(24, p=w))
+            dur = min(energy / p, float(H - t0))
+            place(ev[:, k], t0, dur, p)
+            rows.append((float(t0), dur, p * dur))
+        events.append(np.array(rows).reshape(-1, 3))
+    return base + ev, events, base
 
-    def test_high_class(self):
-        # 1 h at 8 kWh averages 8 kW
-        assert ChargingEvent(0.0, 1.0, 8.0).klass == "high"
 
-    def test_class_boundaries_are_strict(self):
-        assert ChargingEvent(0.0, 1.0, 4.0).klass == "normal"
-        assert ChargingEvent(0.0, 1.0, 7.2).klass == "normal"
-        assert ChargingEvent(0.0, 1.0, 3.999).klass == "low"
-        assert ChargingEvent(0.0, 1.0, 7.201).klass == "high"
+class TestWriteSessions:
+    def test_matches_session_by_session_placement(self):
+        # session 1 overlaps session 0 and starts in its tail hour 2;
+        # session 2 starts in session 1's tail hour; session 3's
+        # remainder is below 1e-12 h, so it has no tail hour; session 4
+        # ends exactly at the end of the row
+        t0 = np.array([0, 2, 4, 6, 8])
+        dur = np.array([2.5, 2.25, 0.75, 1.0 + 1e-13, 2.0])
+        p = np.array([3.0, 4.1, 2.2, 5.0, 6.3])
+        row = np.zeros(10)
+        _write_sessions(row, t0, dur, p)
+        want = np.zeros(10)
+        for args in zip(t0.tolist(), dur.tolist(), p.tolist()):
+            place(want, *args)
+        assert row.tobytes() == want.tobytes()
+        assert row[2] == 3.0 * 0.5 + 4.1
+        assert row.sum() == pytest.approx(float(p @ dur), rel=1e-12)
 
-    def test_rejects_degenerate_fields(self):
-        with pytest.raises(ScenarioError, match="duration"):
-            ChargingEvent(0.0, 0.0, 5.0)
-        with pytest.raises(ScenarioError, match="energy"):
-            ChargingEvent(0.0, 1.0, 0.0)
+    def test_random_overlapping_sessions_bitwise(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            n, H = 40, 200
+            t0 = rng.integers(0, H - 30, size=n)
+            dur = np.minimum(rng.uniform(0.01, 30.0, size=n), H - t0)
+            p = rng.uniform(0.5, 11.0, size=n)
+            panel = np.zeros((H, 3))
+            _write_sessions(panel[:, 1], t0, dur, p)
+            want = np.zeros(H)
+            for args in zip(t0.tolist(), dur.tolist(), p.tolist()):
+                place(want, *args)
+            assert panel[:, 1].tobytes() == want.tobytes()
+            assert not panel[:, [0, 2]].any()
+
+    def test_no_sessions_leave_the_row(self):
+        row = np.arange(5.0)
+        _write_sessions(row, np.empty(0, np.intp), np.empty(0),
+                        np.empty(0))
+        assert row.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 class TestSynthHouseholds:
@@ -138,55 +192,67 @@ class TestSynthHouseholds:
         # the embedded sessions
         params = SynthParams(n_homes=1, days=4, event_rate=1.0, noise_kw=0.0)
         comp, truth, base = synth_households(params, seed=1)
-        want = sum(e.energy_kwh for e in truth[0])
+        want = truth[0][:, 2].sum()
         assert abs((comp - base).sum() - want) < 1e-9
 
     def test_panel_energy_conservation(self, panel):
         comp, truth, base = panel
-        want = sum(e.energy_kwh for per in truth for e in per)
+        want = np.vstack(truth)[:, 2].sum()
         assert abs((comp - base).sum() - want) < 1e-9
 
     def test_start_histogram_mode_in_evening(self, panel):
         _, truth, _ = panel
-        starts = [int(e.start) % 24 for per in truth for e in per]
+        starts = np.vstack(truth)[:, 0].astype(int) % 24
         hist = np.bincount(starts, minlength=24)
         assert 19 <= int(np.argmax(hist)) <= 23
 
     def test_energy_calibration(self, panel):
         _, truth, _ = panel
-        energies = np.array([e.energy_kwh for per in truth for e in per])
+        energies = np.vstack(truth)[:, 2]
         assert len(energies) > 100
         # mode near 10 kWh, long tail cut well before 30
         assert 7.0 < np.median(energies) < 20.0
         assert np.mean(energies < 30.0) > 0.9
 
     def test_truth_p_avg_within_sampled_range(self, panel):
+        # sessions draw their average power from [4.2, 7.0] kW, inside
+        # the band between the run and peak thresholds
         _, truth, _ = panel
-        for per in truth:
-            for e in per:
-                assert 4.2 - 1e-9 <= e.p_avg_kw <= 7.0 + 1e-9
+        ev = np.vstack(truth)
+        p = ev[:, 2] / ev[:, 1]
+        assert np.all((4.2 - 1e-9 <= p) & (p <= 7.0 + 1e-9))
+        assert np.all((P_RUN_KW < p) & (p < P_PEAK_KW))
 
     def test_shapes_and_nonnegativity(self, panel):
         comp, truth, base = panel
         assert comp.shape == base.shape == (60 * 24, 6)
         assert base.min() >= 0.0
         assert comp.min() >= 0.0
+        assert len(truth) == 6
+        assert all(ev.ndim == 2 and ev.shape[1] == 3 for ev in truth)
+        assert not any(ev.flags.writeable for ev in truth)
 
     def test_seed_determinism(self):
         a = synth_households(seed=11)
         b = synth_households(seed=11)
         assert np.array_equal(a[0], b[0])
-        assert a[1] == b[1]
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(a[1], b[1], strict=True))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_session_by_session_placement(self, seed):
+        params = SynthParams()
+        comp, truth, base = synth_households(params, seed=seed)
+        want_comp, want_truth, want_base = reference_households(params, seed)
+        assert comp.tobytes() == want_comp.tobytes()
+        assert base.tobytes() == want_base.tobytes()
+        for got, want in zip(truth, want_truth, strict=True):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_parameter_validation(self):
         with pytest.raises(ScenarioError, match="event_rate"):
             SynthParams(event_rate=1.5)
-        with pytest.raises(ScenarioError, match="daily_shape"):
-            SynthParams(daily_shape=(1.0,) * 23)
-        with pytest.raises(ScenarioError, match="start_weights"):
-            SynthParams(start_weights=(1.0,) * 23)
-        with pytest.raises(ScenarioError, match="p_lo"):
-            SynthParams(p_lo_kw=8.0, p_hi_kw=7.0)
         with pytest.raises(ScenarioError, match="home"):
             SynthParams(n_homes=0)
 
@@ -202,7 +268,7 @@ class TestExtractEvLoad:
         # ground-truth oracle: the generator records every embedded kWh
         for seed in range(5):
             comp, truth, base = synth_households(seed=seed)
-            want = sum(e.energy_kwh for per in truth for e in per)
+            want = np.vstack(truth)[:, 2].sum()
             got = extract_ev_load(comp, base).sum()
             assert 0.9 * want < got < 1.1 * want
 
@@ -237,9 +303,9 @@ class TestExtractEvLoad:
         on_event = 0.0
         for j, per in enumerate(truth):
             mask = np.zeros(H, dtype=bool)
-            for e in per:
-                a = int(e.start)
-                mask[a:min(H, a + int(np.ceil(e.duration_h)) + 1)] = True
+            for start, dur, _ in per.tolist():
+                a = int(start)
+                mask[a:min(H, a + math.ceil(dur) + 1)] = True
             on_event += ext[mask, j].sum()
         assert on_event > 0.95 * ext.sum()
 
@@ -251,33 +317,34 @@ class TestExtractEvLoad:
 class TestDetectEvents:
     def test_two_hour_rule_boundary(self):
         events = detect_events([0, 5, 5, 0])
-        assert len(events) == 1
-        e = events[0]
-        assert (e.start, e.duration_h, e.energy_kwh, e.p_avg_kw) == (1.0, 2.0, 10.0, 5.0)
+        assert events.tolist() == [[1.0, 2.0, 10.0]]
 
     def test_single_hour_below_peak_rule(self):
-        assert detect_events([0, 5, 0]) == []
+        assert detect_events([0, 5, 0]).shape == (0, 3)
+
+    def test_sessions_are_read_only_rows(self):
+        events = detect_events([0, 5, 5, 0, 9, 0])
+        assert events.shape == (2, 3) and events.dtype == float
+        assert not events.flags.writeable
 
     def test_single_hour_peak_rule(self):
         events = detect_events([0, 8, 0])
-        assert len(events) == 1
-        assert events[0].klass == "high"
+        assert events.tolist() == [[1.0, 1.0, 8.0]]
 
     def test_thresholds_are_strict(self):
-        assert detect_events([0, 4.0, 4.0, 0]) == []
-        assert detect_events([0, 7.2, 0]) == []
+        assert len(detect_events([0, 4.0, 4.0, 0])) == 0
+        assert len(detect_events([0, 7.2, 0])) == 0
         assert len(detect_events([0, 4.001, 4.001, 0])) == 1
         assert len(detect_events([0, 7.201, 0])) == 1
 
     def test_run_at_series_edges(self):
         events = detect_events([5, 5, 0, 0, 6, 6])
-        assert [(e.start, e.duration_h) for e in events] == [(0.0, 2.0), (4.0, 2.0)]
+        assert events[:, :2].tolist() == [[0.0, 2.0], [4.0, 2.0]]
 
     def test_energy_is_run_integral(self):
-        events = detect_events([0, 5.0, 6.0, 4.5, 0])
-        assert len(events) == 1
-        assert events[0].energy_kwh == pytest.approx(15.5)
-        assert events[0].p_avg_kw == pytest.approx(15.5 / 3)
+        x = np.array([0, 5.0, 6.0, 4.5, 0])
+        events = detect_events(x)
+        assert events.tolist() == [[1.0, 3.0, x[1:4].sum()]]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=12.0), min_size=1, max_size=48))
@@ -285,8 +352,8 @@ class TestDetectEvents:
         x = np.asarray(series)
         events = detect_events(x)
         covered = np.zeros(len(x), dtype=bool)
-        for e in events:
-            a, b = int(e.start), int(e.start + e.duration_h)
+        for start, dur, energy in events.tolist():
+            a, b = int(start), int(start + dur)
             run = x[a:b]
             # every hour above 4 kW, rule 1 or rule 2 satisfied
             assert np.all(run > 4.0)
@@ -294,7 +361,7 @@ class TestDetectEvents:
             # maximality: neighbors at or below 4 kW
             assert a == 0 or x[a - 1] <= 4.0
             assert b == len(x) or x[b] <= 4.0
-            assert e.energy_kwh == pytest.approx(run.sum())
+            assert energy == run.sum()
             covered[a:b] = True
         # nothing qualifying was missed: uncovered runs fail both rules
         i = 0
@@ -348,6 +415,10 @@ class TestFitKde:
             Kde(np.ones((5, 2)), np.array([1.0]))
         with pytest.raises(ScenarioError, match="positive"):
             Kde(np.ones((5, 1)), np.array([0.0]))
+        with pytest.raises(ScenarioError, match="finite"):
+            Kde(np.array([[1.0], [np.nan]]), np.array([0.5]))
+        with pytest.raises(ScenarioError, match="finite"):
+            Kde(np.ones((5, 2)), np.array([0.5, np.inf]))
         with pytest.raises(ScenarioError, match=r"\(n, d\)"):
             fit_kde(np.ones((12, 2, 2)))
 
@@ -362,24 +433,28 @@ class TestEventDistributions:
 
 class TestSampleEvents:
     def test_low_class_draw(self):
+        # 10 h at 30 kWh averages 3 kW, below the run threshold
         events = sample_events(point_dist(10.0, 30.0), 5, seed=0)
-        assert all(e.klass == "low" for e in events)
-        assert all(abs(e.p_avg_kw - 3.0) < 1e-6 for e in events)
+        p = events[:, 2] / events[:, 1]
+        assert np.all(p < P_RUN_KW)
+        assert np.all(np.abs(p - 3.0) < 1e-6)
 
     def test_high_class_draw(self):
+        # 1 h at 8 kWh averages 8 kW, above the peak threshold
         events = sample_events(point_dist(1.0, 8.0), 5, seed=0)
-        assert all(e.klass == "high" for e in events)
+        assert np.all(events[:, 2] / events[:, 1] > P_PEAK_KW)
 
     def test_start_hours_integral(self, fitted):
-        events = sample_events(fitted, 200, seed=3)
-        assert all(e.start == int(e.start) and 0 <= e.start <= 23 for e in events)
+        start = sample_events(fitted, 200, seed=3)[:, 0]
+        assert np.all((start == np.floor(start)) & (0 <= start)
+                      & (start <= 23))
 
     def test_seed_determinism(self, fitted):
         a = sample_events(fitted, 40, seed=5)
         b = sample_events(fitted, 40, seed=5)
         c = sample_events(fitted, 40, seed=6)
-        assert a == b
-        assert a != c
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_rejection_cap(self):
         bad = point_dist(-5.0, -5.0)
@@ -395,19 +470,21 @@ class TestSampleEvents:
                                              np.array([1e-9])))
         events = sample_events(dist, 300, seed=2)
         assert len(events) == 300
-        assert all(abs(e.duration_h - 2.0) < 1e-6 and
-                   abs(e.energy_kwh - 10.0) < 1e-6 for e in events)
+        assert np.all(np.abs(events[:, 1:] - [2.0, 10.0]) < 1e-6)
 
     def test_class_proportions_stable_across_seeds(self, fitted):
-        # repeated-seed statistics: class shares differ by at most a
-        # few binomial standard errors
+        # repeated-seed statistics: the shares of sessions averaging
+        # below P_RUN_KW, between the thresholds and above P_PEAK_KW
+        # differ by at most a few binomial standard errors
         n = 4000
         shares = []
         for seed in (1, 2):
             events = sample_events(fitted, n, seed=seed)
+            p = events[:, 2] / events[:, 1]
             shares.append(np.array([
-                sum(1 for e in events if e.klass == k) / n
-                for k in ("low", "normal", "high")]))
+                np.mean(p < P_RUN_KW),
+                np.mean((P_RUN_KW <= p) & (p <= P_PEAK_KW)),
+                np.mean(p > P_PEAK_KW)]))
         p = (shares[0] + shares[1]) / 2
         se = np.sqrt(2 * p * (1 - p) / n)
         assert np.all(np.abs(shares[0] - shares[1]) <= 4 * se + 1e-12)
